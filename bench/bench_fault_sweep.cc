@@ -1,11 +1,11 @@
-// Fault-injection sweep across all four transactional stacks (DESIGN.md §9).
+// Fault-injection sweep across the transactional stacks (DESIGN.md §9).
 //
 // Runs the randomized fault-fuzz campaign — transient disk errors, growing
-// bad sectors, torn 4 KB writes and deterministic power cuts — over Tinca,
-// Classic, UBJ and the sharded Tinca front-end, and reports how each stack
-// absorbed it: crashes survived, retries spent, blocks quarantined,
-// degraded write-through writes, and (the gate) recovery-invariant
-// violations, which must be zero.
+// bad sectors, torn 4 KB writes and deterministic power cuts — over every
+// row of backend::kFuzzCampaigns (src/backend/fuzz_common.h), and reports
+// how each stack absorbed it: crashes survived, retries spent, blocks
+// quarantined, degraded write-through writes, and (the gate)
+// recovery-invariant violations, which must be zero.
 //
 // Usage:
 //   bench_fault_sweep [--schedules N] [--seed S] [--json <path>]
@@ -23,64 +23,6 @@
 
 using namespace tinca;
 using namespace tinca::bench;
-
-namespace {
-
-/// One sweep row: a stack kind with the background cleaner off or armed in
-/// deterministic stepped mode (DESIGN.md §11), and optionally with group
-/// commit enabled (DESIGN.md §14) so power cuts land inside batched
-/// commit_group() pipelines.  Classic has no cleaner.
-struct Campaign {
-  backend::StackKind kind;
-  cleaner::CleanerMode cleaner;
-  bool group;
-  std::uint32_t streams;  ///< commit streams per shard (DESIGN.md §15)
-  const char* label;
-};
-
-constexpr Campaign kCampaigns[] = {
-    {backend::StackKind::kTinca, cleaner::CleanerMode::kDisabled, false, 1,
-     "Tinca"},
-    {backend::StackKind::kClassic, cleaner::CleanerMode::kDisabled, false, 1,
-     "Classic"},
-    {backend::StackKind::kUbj, cleaner::CleanerMode::kDisabled, false, 1,
-     "UBJ"},
-    {backend::StackKind::kShardedTinca, cleaner::CleanerMode::kDisabled, false,
-     1, "Sharded"},
-    {backend::StackKind::kTinca, cleaner::CleanerMode::kStepped, false, 1,
-     "Tinca+cleaner"},
-    {backend::StackKind::kUbj, cleaner::CleanerMode::kStepped, false, 1,
-     "UBJ+cleaner"},
-    {backend::StackKind::kShardedTinca, cleaner::CleanerMode::kStepped, false,
-     1, "Sharded+cleaner"},
-    {backend::StackKind::kNvLogClassic, cleaner::CleanerMode::kDisabled, false,
-     1, "NvLog"},
-    {backend::StackKind::kNvLogClassic, cleaner::CleanerMode::kStepped, false,
-     1, "NvLog+cleaner"},
-    {backend::StackKind::kTinca, cleaner::CleanerMode::kDisabled, true, 1,
-     "Tinca+group"},
-    {backend::StackKind::kShardedTinca, cleaner::CleanerMode::kDisabled, true,
-     1, "Sharded+group"},
-    {backend::StackKind::kNvLogClassic, cleaner::CleanerMode::kDisabled, true,
-     1, "NvLog+group"},
-    // Multi-stream rings (DESIGN.md §15): cross-shard txns anchor to one
-    // atomic cross-stream commit record, cuts land at every protocol step.
-    {backend::StackKind::kShardedTinca, cleaner::CleanerMode::kDisabled, false,
-     2, "Sharded+streams"},
-    {backend::StackKind::kShardedTinca, cleaner::CleanerMode::kDisabled, true,
-     2, "Sharded+streams+group"},
-    // Deep-stacked NvLog tiers (DESIGN.md §16): the write-ahead log drains
-    // into a full transactional cache, so cuts land mid-drain with both the
-    // tier's watermark ring and the inner cache's commit protocol in flight.
-    {backend::StackKind::kNvLogTinca, cleaner::CleanerMode::kStepped, false, 1,
-     "NvLogTinca"},
-    {backend::StackKind::kNvLogSharded, cleaner::CleanerMode::kStepped, false,
-     1, "NvLogSharded"},
-    {backend::StackKind::kNvLogSharded, cleaner::CleanerMode::kDisabled, true,
-     1, "NvLogSharded+group"},
-};
-
-}  // namespace
 
 int main(int argc, char** argv) {
   BenchReporter reporter("fault_sweep", argc, argv);
@@ -114,7 +56,7 @@ int main(int argc, char** argv) {
            "retries", "quarant", "degraded", "wedges", "violations"});
   std::uint64_t total_violations = 0;
 
-  for (const Campaign& c : kCampaigns) {
+  for (const backend::FuzzCampaign& c : backend::kFuzzCampaigns) {
     backend::FuzzOptions opts;
     opts.kind = c.kind;
     opts.cleaner = c.cleaner;

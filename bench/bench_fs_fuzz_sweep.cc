@@ -1,7 +1,8 @@
 // File-system-level fault-fuzz campaign + crash-point sweep (DESIGN.md §10).
 //
-// Part 1 — randomized campaign: drives MiniFs over all four stacks with
-// random op histories under disk faults and power cuts, checking every
+// Part 1 — randomized campaign: drives MiniFs over every campaign of
+// backend::kFuzzCampaigns except the block-only ones, with random op
+// histories under disk faults and power cuts, checking every
 // recovered tree against the in-DRAM reference model and running the
 // strengthened fsck() (both must be clean — those are the gates).
 //
@@ -29,59 +30,6 @@
 
 using namespace tinca;
 using namespace tinca::bench;
-
-namespace {
-
-/// One sweep row: a stack kind with the background cleaner off or armed in
-/// deterministic stepped mode (DESIGN.md §11), and optionally with the
-/// sharded per-shard commit batcher armed (DESIGN.md §14) so the crash-point
-/// sweep cuts inside the batched commit pipeline.  Classic has no cleaner.
-struct Campaign {
-  backend::StackKind kind;
-  cleaner::CleanerMode cleaner;
-  bool group;
-  std::uint32_t streams;  ///< commit streams per shard (DESIGN.md §15)
-  const char* label;
-};
-
-constexpr Campaign kCampaigns[] = {
-    {backend::StackKind::kTinca, cleaner::CleanerMode::kDisabled, false, 1,
-     "Tinca"},
-    {backend::StackKind::kClassic, cleaner::CleanerMode::kDisabled, false, 1,
-     "Classic"},
-    {backend::StackKind::kUbj, cleaner::CleanerMode::kDisabled, false, 1,
-     "UBJ"},
-    {backend::StackKind::kShardedTinca, cleaner::CleanerMode::kDisabled, false,
-     1, "Sharded"},
-    {backend::StackKind::kTinca, cleaner::CleanerMode::kStepped, false, 1,
-     "Tinca+cleaner"},
-    {backend::StackKind::kUbj, cleaner::CleanerMode::kStepped, false, 1,
-     "UBJ+cleaner"},
-    {backend::StackKind::kShardedTinca, cleaner::CleanerMode::kStepped, false,
-     1, "Sharded+cleaner"},
-    {backend::StackKind::kNvLogClassic, cleaner::CleanerMode::kDisabled, false,
-     1, "NvLog"},
-    {backend::StackKind::kNvLogClassic, cleaner::CleanerMode::kStepped, false,
-     1, "NvLog+cleaner"},
-    {backend::StackKind::kShardedTinca, cleaner::CleanerMode::kDisabled, true,
-     1, "Sharded+group"},
-    // Multi-stream rings (DESIGN.md §15): fs txns spanning shards commit
-    // through one atomic cross-stream record; fsync semantics must hold.
-    {backend::StackKind::kShardedTinca, cleaner::CleanerMode::kDisabled, false,
-     2, "Sharded+streams"},
-    {backend::StackKind::kShardedTinca, cleaner::CleanerMode::kDisabled, true,
-     2, "Sharded+streams+group"},
-    // Deep-stacked NvLog tiers (DESIGN.md §16): MiniFs compound commits
-    // absorb into the log and drain into a full transactional cache inner.
-    {backend::StackKind::kNvLogTinca, cleaner::CleanerMode::kStepped, false, 1,
-     "NvLogTinca"},
-    {backend::StackKind::kNvLogSharded, cleaner::CleanerMode::kStepped, false,
-     1, "NvLogSharded"},
-    {backend::StackKind::kNvLogSharded, cleaner::CleanerMode::kDisabled, true,
-     1, "NvLogSharded+group"},
-};
-
-}  // namespace
 
 int main(int argc, char** argv) {
   BenchReporter reporter("fs_fuzz_sweep", argc, argv);
@@ -137,7 +85,8 @@ int main(int argc, char** argv) {
   std::uint64_t total_violations = 0;
   std::uint64_t total_dirty = 0;
 
-  for (const Campaign& c : kCampaigns) {
+  for (const backend::FuzzCampaign& c : backend::kFuzzCampaigns) {
+    if (c.block_only) continue;
     fs::FsFuzzOptions opts;
     opts.kind = c.kind;
     opts.cleaner = c.cleaner;

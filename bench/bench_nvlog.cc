@@ -28,7 +28,6 @@
 #include <random>
 #include <vector>
 
-#include "backend/nvlog_backend.h"
 #include "backend/nvlog_stacked_backend.h"
 #include "backend/sharded_backend.h"
 #include "bench_reporter.h"
@@ -56,9 +55,6 @@ RunResult run_one(backend::StackKind kind, std::uint64_t txns) {
   // Synchronous disk writes: committing IS fsyncing, so whoever puts disk
   // blocks on the commit path pays for them in the commit span.
   cfg.disk_writes = blockdev::WritePolicy::kSync;
-  // Same reserved journal area for the inner store as for classic-journal,
-  // so both address identical data-block ranges.
-  cfg.nvlog.inner.journal_blocks = ScaledDefaults::kJournalBlocks;
   // Background drains between commits, like the cleaner bench.
   cfg.nvlog.cleaner.mode = cleaner::CleanerMode::kStepped;
   backend::Stack stack(cfg);
@@ -92,7 +88,7 @@ RunResult run_one(backend::StackKind kind, std::uint64_t txns) {
   const std::uint64_t t0 = stack.clock().now();
   const nvlog::NvLogStats warm =
       kind == backend::StackKind::kNvLogClassic
-          ? static_cast<backend::NvLogBackend&>(be).tier().stats()
+          ? static_cast<backend::NvLogStackedBackend&>(be).tier().stats()
           : nvlog::NvLogStats{};
   run_txns(txns);
 
@@ -103,7 +99,7 @@ RunResult run_one(backend::StackKind kind, std::uint64_t txns) {
            static_cast<double>(sim::kSec);
   r.disk_writes = stack.disk_blocks_written() - disk_before;
   if (kind == backend::StackKind::kNvLogClassic) {
-    r.log = static_cast<backend::NvLogBackend&>(be).tier().stats();
+    r.log = static_cast<backend::NvLogStackedBackend&>(be).tier().stats();
     r.log.absorbed_txns -= warm.absorbed_txns;
     r.log.absorbed_records -= warm.absorbed_records;
     r.log.drained_records -= warm.drained_records;
@@ -178,9 +174,9 @@ RunResult run_stacked(backend::StackKind kind, std::uint64_t txns,
   // writes), the stacked log absorbs the same commits in one append.
   cfg.nvm_bytes = 5ull << 20;
   cfg.tinca.ring_bytes = 256 * 1024;  // per shard
-  cfg.nvlog_stacked.log_bytes = 2ull << 20;
-  cfg.nvlog_stacked.cleaner.mode = cleaner::CleanerMode::kStepped;
-  cfg.nvlog_stacked.parallel_drain = parallel_drain;
+  cfg.nvlog.log_bytes = 2ull << 20;
+  cfg.nvlog.cleaner.mode = cleaner::CleanerMode::kStepped;
+  cfg.nvlog.parallel_drain = parallel_drain;
   backend::Stack stack(cfg);
   backend::TxnBackend& be = stack.backend();
 

@@ -113,6 +113,13 @@ cmake --build "$BENCH_DIR" -j "$(nproc)" \
 "$BENCH_DIR/bench/bench_nvlog" --json "$JSON_OUT/nvlog.json" > /dev/null
 cp "$JSON_OUT/nvlog.json" BENCH_nvlog_stacked.json
 
+# Determinism gate: bench_nvlog runs purely in virtual time, so a second run
+# must reproduce the first bit for bit.  tools/bench_diff.py prints every
+# differing row or metric and exits nonzero on any.
+"$BENCH_DIR/bench/bench_nvlog" --json "$JSON_OUT/nvlog_rerun.json" > /dev/null
+python3 tools/bench_diff.py "$JSON_OUT/nvlog.json" "$JSON_OUT/nvlog_rerun.json"
+echo "bench_nvlog determinism: identical across two runs"
+
 # Group-commit smoke (DESIGN.md §14): single commits vs commit_group over a
 # hot-set stream sweep plus a TPC-C-style open-arrival DES.  The binary exits
 # nonzero unless grouped commit throughput at 8 streams is >= 2x single,

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 
 #include "backend/txn_backend.h"
 #include "classic/classic_stack.h"
@@ -29,26 +28,15 @@ class ClassicBackend final : public TxnBackend {
         new ClassicBackend(classic::ClassicStack::recover(nvm, disk, cfg)));
   }
 
-  void begin() override {
-    TINCA_EXPECT(!txn_.has_value(), "transaction already open");
-    txn_.emplace(stack_->begin_txn());
-  }
-
-  void stage(std::uint64_t blkno, std::span<const std::byte> data) override {
-    TINCA_EXPECT(txn_.has_value(), "stage without begin");
-    txn_->add(blkno, data);
-  }
-
-  void commit() override {
-    TINCA_EXPECT(txn_.has_value(), "commit without begin");
-    stack_->commit(*txn_);
-    txn_.reset();
-  }
-
-  void abort() override {
-    TINCA_EXPECT(txn_.has_value(), "abort without begin");
-    stack_->abort(*txn_);
-    txn_.reset();
+  /// Each member is its own ClassicStack commit (no shared flush or fence),
+  /// so a group is atomic per member only, and only with the journal on.
+  void commit_group(std::span<GroupTxn> txns) override {
+    TINCA_EXPECT(!txn_open(), "group commit with a transaction open");
+    for (GroupTxn& t : txns) {
+      classic::ClassicTxn txn = stack_->begin_txn();
+      for (auto& [blkno, data] : t.writes) txn.add(blkno, std::move(data));
+      stack_->commit(txn);
+    }
   }
 
   void read_block(std::uint64_t blkno, std::span<std::byte> dst) override {
@@ -98,7 +86,6 @@ class ClassicBackend final : public TxnBackend {
       : stack_(std::move(stack)) {}
 
   std::unique_ptr<classic::ClassicStack> stack_;
-  std::optional<classic::ClassicTxn> txn_;
 };
 
 }  // namespace tinca::backend

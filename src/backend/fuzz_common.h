@@ -130,6 +130,65 @@ struct FuzzReport {
   blockdev::FaultStats faults;        ///< summed over all schedules
 };
 
+/// One sweep campaign: a stack kind with the background cleaner off or
+/// armed in deterministic stepped mode (DESIGN.md §11), optionally with
+/// group commit (§14) — batched commit_group() schedules in the block-level
+/// harness, the sharded per-shard batcher in both — and per-shard commit
+/// streams (§15).  Classic has no cleaner.
+struct FuzzCampaign {
+  StackKind kind;
+  cleaner::CleanerMode cleaner;
+  bool group;
+  std::uint32_t streams;  ///< commit streams per shard (DESIGN.md §15)
+  /// Block-level sweep only: group commit here means commit_group()
+  /// batches, which the file-system harness never issues.
+  bool block_only;
+  const char* label;
+};
+
+/// The campaign table both sweep benches run (bench_fault_sweep runs every
+/// row, bench_fs_fuzz_sweep skips the block-only ones).
+inline constexpr FuzzCampaign kFuzzCampaigns[] = {
+    {StackKind::kTinca, cleaner::CleanerMode::kDisabled, false, 1, false,
+     "Tinca"},
+    {StackKind::kClassic, cleaner::CleanerMode::kDisabled, false, 1, false,
+     "Classic"},
+    {StackKind::kUbj, cleaner::CleanerMode::kDisabled, false, 1, false, "UBJ"},
+    {StackKind::kShardedTinca, cleaner::CleanerMode::kDisabled, false, 1,
+     false, "Sharded"},
+    {StackKind::kTinca, cleaner::CleanerMode::kStepped, false, 1, false,
+     "Tinca+cleaner"},
+    {StackKind::kUbj, cleaner::CleanerMode::kStepped, false, 1, false,
+     "UBJ+cleaner"},
+    {StackKind::kShardedTinca, cleaner::CleanerMode::kStepped, false, 1, false,
+     "Sharded+cleaner"},
+    {StackKind::kNvLogClassic, cleaner::CleanerMode::kDisabled, false, 1,
+     false, "NvLog"},
+    {StackKind::kNvLogClassic, cleaner::CleanerMode::kStepped, false, 1, false,
+     "NvLog+cleaner"},
+    {StackKind::kTinca, cleaner::CleanerMode::kDisabled, true, 1, true,
+     "Tinca+group"},
+    {StackKind::kShardedTinca, cleaner::CleanerMode::kDisabled, true, 1, false,
+     "Sharded+group"},
+    {StackKind::kNvLogClassic, cleaner::CleanerMode::kDisabled, true, 1, true,
+     "NvLog+group"},
+    // Multi-stream rings (DESIGN.md §15): cross-shard txns anchor to one
+    // atomic cross-stream commit record, cuts land at every protocol step.
+    {StackKind::kShardedTinca, cleaner::CleanerMode::kDisabled, false, 2,
+     false, "Sharded+streams"},
+    {StackKind::kShardedTinca, cleaner::CleanerMode::kDisabled, true, 2, false,
+     "Sharded+streams+group"},
+    // Deep-stacked NvLog tiers (DESIGN.md §16): the log drains into a full
+    // transactional cache, so cuts land mid-drain with both the tier's
+    // watermark ring and the inner cache's commit protocol in flight.
+    {StackKind::kNvLogTinca, cleaner::CleanerMode::kStepped, false, 1, false,
+     "NvLogTinca"},
+    {StackKind::kNvLogSharded, cleaner::CleanerMode::kStepped, false, 1, false,
+     "NvLogSharded"},
+    {StackKind::kNvLogSharded, cleaner::CleanerMode::kDisabled, true, 1, false,
+     "NvLogSharded+group"},
+};
+
 namespace detail {
 
 /// Log-tier carve-out shared by every NvLog fuzz stack (and by the harness'
@@ -224,31 +283,17 @@ inline std::unique_ptr<TxnBackend> fuzz_build(const FuzzOptions& o,
       return recover ? ShardedBackend::recover(nvm, disk, s)
                      : ShardedBackend::format(nvm, disk, s);
     }
-    case StackKind::kNvLogClassic: {
-      NvLogStackConfig c;
-      c.log_bytes = kFuzzLogBytes;   // 512 KB log in front of the cache
-      c.log.segment_bytes = 64 * 1024;  // 7 segments → frequent wrap + drain
-      c.inner.journal_blocks = o.journal_blocks;  // same data area as Classic
-      c.inner.cache.io = o.retry;
-      c.cleaner.mode = o.cleaner;
-      c.cleaner.low_water_pct = o.cleaner_low_water_pct;
-      c.cleaner.high_water_pct = o.cleaner_high_water_pct;
-      c.cleaner.sabotage_skip_write =
-          o.sabotage == FuzzSabotage::kCleanerSkipsFlush;
-      c.log.sabotage_skip_commit_flush =
-          o.sabotage == FuzzSabotage::kNvLogSkipsCommitFlush;
-      c.log.sabotage_skip_watermark_flush =
-          o.sabotage == FuzzSabotage::kSkipWatermarkRecordFlush;
-      return recover ? NvLogBackend::recover(nvm, disk, c)
-                     : NvLogBackend::format(nvm, disk, c);
-    }
+    case StackKind::kNvLogClassic:
     case StackKind::kNvLogTinca:
     case StackKind::kNvLogSharded: {
       NvLogStackedConfig c;
       c.log_bytes = kFuzzLogBytes;      // 512 KB log in front of the cache
       c.log.segment_bytes = 64 * 1024;  // 7 segments → frequent wrap + drain
-      c.inner = o.kind == StackKind::kNvLogSharded ? NvLogInner::kSharded
-                                                   : NvLogInner::kTinca;
+      c.inner = o.kind == StackKind::kNvLogClassic ? NvLogInner::kClassic
+                : o.kind == StackKind::kNvLogSharded ? NvLogInner::kSharded
+                                                     : NvLogInner::kTinca;
+      c.classic.journal_blocks = o.journal_blocks;  // same data area as Classic
+      c.classic.cache.io = o.retry;
       c.shards = o.shards;
       c.tinca.ring_bytes = o.ring_bytes;
       c.tinca.num_streams = o.streams;
@@ -312,24 +357,15 @@ inline void fuzz_collect(const FuzzOptions& o, TxnBackend& be,
       add(s.io_retries, s.io_quarantined, s.io_degraded_writes);
       break;
     }
-    case StackKind::kNvLogClassic: {
-      const classic::FlashCacheStats& s =
-          static_cast<NvLogBackend&>(be).inner().stack().cache().stats();
-      add(s.io_retries, s.io_quarantined, s.io_degraded_writes);
-      break;
-    }
-    case StackKind::kNvLogTinca: {
-      const core::TincaCacheStats& s =
-          static_cast<NvLogStackedBackend&>(be).inner_tinca()->cache().stats();
-      add(s.io_retries, s.io_quarantined, s.io_degraded_writes);
-      break;
-    }
+    case StackKind::kNvLogClassic:
+    case StackKind::kNvLogTinca:
     case StackKind::kNvLogSharded: {
-      const core::TincaCacheStats s = static_cast<NvLogStackedBackend&>(be)
-                                          .inner_sharded()
-                                          ->sharded()
-                                          .aggregated_stats();
-      add(s.io_retries, s.io_quarantined, s.io_degraded_writes);
+      // The log tier retries nothing itself; fold in its inner stack's.
+      FuzzOptions inner = o;
+      inner.kind = StackKind::kShardedTinca;
+      if (o.kind == StackKind::kNvLogClassic) inner.kind = StackKind::kClassic;
+      if (o.kind == StackKind::kNvLogTinca) inner.kind = StackKind::kTinca;
+      fuzz_collect(inner, static_cast<NvLogStackedBackend&>(be).inner(), rep);
       break;
     }
   }

@@ -1,11 +1,15 @@
-// TxnBackend stacking the NVM write-ahead tier (src/nvlog/) on top of the
-// REAL transactional stacks (DESIGN.md §16): a full TincaCache or a
-// ShardedTinca front-end, instead of the journal-less Classic store
-// NvLogBackend wraps.  Commits absorb into the log with one flush + fence;
-// sealed segments drain into the inner stack *through its commit_group
-// path*, so a whole coalesced chunk costs the inner one flush pass and one
-// sfence (§14 fence economics), and the inner keeps its own crash
-// consistency — a power cut inside an apply tears nothing.
+// TxnBackend stacking the NVM write-ahead tier (src/nvlog/) on top of an
+// inner transactional stack: a journal-less Classic store (DESIGN.md §13),
+// a full TincaCache, or a ShardedTinca front-end (§16).  Commits absorb
+// into the log with one flush + fence; a cleaner::Cleaner drains sealed
+// segments into the inner *through its commit_group path*, chunked to the
+// inner's transaction capacity, and reads consult the log index before
+// falling through.  Over Tinca or Sharded a whole coalesced chunk costs the
+// inner one flush pass and one sfence (§14 fence economics), and the inner
+// keeps its own crash consistency — a power cut inside an apply tears
+// nothing.  The Classic inner runs WITHOUT its journal: the log tier *is*
+// the write-ahead journal, so any BlockDevice-backed store gains crash
+// consistency by being wrapped here.
 //
 // Sharded inners additionally get shard-affine parallel drains: the tier
 // partitions a segment's coalesced run by `ShardedTinca::shard_of`, this
@@ -17,21 +21,21 @@
 // and last-writer-wins block applies make the replay harmless.
 //
 // Threading: the tier itself is single-threaded; every tier access here is
-// serialized by `tier_mu_`, making `absorb_txn`, `read_block`, `drain_pass`
-// and cleaner callbacks safe to call concurrently (the TSan stress drives
-// absorbers against a drainer).  The begin/stage/commit staging surface
-// stays single-caller like every other backend.
+// serialized by `tier_mu_`, making `commit_group`, `read_block`,
+// `drain_pass` and cleaner callbacks safe to call concurrently (the TSan
+// stress drives several committers against a drainer).  The
+// begin/stage/commit staging surface stays single-caller like every other
+// backend.
 #pragma once
 
 #include <algorithm>
 #include <exception>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
 
+#include "backend/classic_backend.h"
 #include "backend/sharded_backend.h"
 #include "backend/tinca_backend.h"
 #include "backend/txn_backend.h"
@@ -42,10 +46,10 @@
 
 namespace tinca::backend {
 
-/// Which real stack the log drains into.
-enum class NvLogInner : std::uint8_t { kTinca, kSharded };
+/// Which stack the log drains into.
+enum class NvLogInner : std::uint8_t { kTinca, kSharded, kClassic };
 
-/// Assembly parameters for the NvLog-over-Tinca/Sharded stacks.
+/// Assembly parameters for the NvLog stacks.
 struct NvLogStackedConfig {
   /// Leading bytes of the NVM device carved out for the log tier; the
   /// remainder backs the inner stack.
@@ -54,6 +58,9 @@ struct NvLogStackedConfig {
   NvLogInner inner = NvLogInner::kTinca;
   /// Inner cache config (per shard when inner == kSharded).
   core::TincaConfig tinca;
+  /// Inner store config for kClassic; `journaling` is forced off (the log
+  /// replaces it).
+  classic::ClassicConfig classic;
   /// Shard count for the kSharded inner.
   std::uint32_t shards = 4;
   /// Background drain driver; kDisabled leaves draining to backpressure
@@ -88,59 +95,14 @@ class NvLogStackedBackend final : public TxnBackend,
         new NvLogStackedBackend(nvm, disk, std::move(cfg), /*recover=*/true));
   }
 
-  void begin() override {
-    TINCA_EXPECT(!txn_open_, "transaction already open");
-    txn_open_ = true;
-  }
-
-  void stage(std::uint64_t blkno, std::span<const std::byte> data) override {
-    TINCA_EXPECT(txn_open_, "stage without begin");
-    auto [it, inserted] = staged_.try_emplace(blkno);
-    if (inserted) order_.push_back(blkno);
-    it->second.assign(data.begin(), data.end());
-  }
-
-  void commit() override {
-    TINCA_EXPECT(txn_open_, "commit without begin");
-    if (order_.empty()) {
-      txn_open_ = false;
-      return;
-    }
-    {
-      TINCA_TRACE_SPAN(trace_, site_commit_);
-      std::vector<std::pair<std::uint64_t, std::span<const std::byte>>> blocks;
-      blocks.reserve(order_.size());
-      for (std::uint64_t blkno : order_) {
-        TINCA_EXPECT(blkno < data_block_limit(), "write past the data area");
-        blocks.emplace_back(blkno, staged_[blkno]);
-      }
-      // Throws (disk error inside a backpressure drain) leave the staging
-      // intact — the txn stays open for the caller to retry or abort.
-      std::lock_guard<std::mutex> lock(tier_mu_);
-      tier_->absorb_commit(blocks, *this);
-    }
-    txn_open_ = false;
-    staged_.clear();
-    order_.clear();
-    trickle_collect();
-  }
-
-  /// Thread-safe commit entry: durably absorb one committed transaction
-  /// without touching the begin/stage staging area.  Concurrent absorbers
-  /// serialize on the tier mutex (the TSan stress drives several against a
-  /// draining thread).
-  void absorb_txn(
-      const std::vector<std::pair<std::uint64_t, std::span<const std::byte>>>&
-          blocks) {
-    TINCA_TRACE_SPAN(trace_, site_commit_);
-    std::lock_guard<std::mutex> lock(tier_mu_);
-    tier_->absorb_commit(blocks, *this);
-  }
-
   [[nodiscard]] bool supports_group_commit() const override { return true; }
 
-  void commit_group(std::span<const GroupTxn> txns) override {
-    TINCA_EXPECT(!txn_open_, "group commit with a transaction open");
+  /// Thread-safe: concurrent committers serialize on the tier mutex.  A
+  /// group of one is a plain absorb (nvlog.group_* count only real groups);
+  /// larger groups merge into one log txn run sealed by one commit record.
+  /// A disk error inside a backpressure drain throws with nothing absorbed.
+  void commit_group(std::span<GroupTxn> txns) override {
+    TINCA_EXPECT(!txn_open(), "group commit with a transaction open");
     if (txns.empty()) return;
     {
       TINCA_TRACE_SPAN(trace_, site_commit_);
@@ -149,24 +111,20 @@ class NvLogStackedBackend final : public TxnBackend,
           members;
       members.reserve(txns.size());
       for (const GroupTxn& t : txns) {
-        members.emplace_back();
-        members.back().reserve(t.writes.size());
+        auto& blocks = members.emplace_back();
+        blocks.reserve(t.writes.size());
         for (const auto& [blkno, data] : t.writes) {
           TINCA_EXPECT(blkno < data_block_limit(), "write past the data area");
-          members.back().emplace_back(blkno, data);
+          blocks.emplace_back(blkno, data);
         }
       }
       std::lock_guard<std::mutex> lock(tier_mu_);
-      tier_->absorb_commit_group(members, *this);
+      if (members.size() > 1)
+        tier_->absorb_commit_group(members, *this);
+      else if (!members.front().empty())
+        tier_->absorb_commit(members.front(), *this);
     }
     trickle_collect();
-  }
-
-  void abort() override {
-    TINCA_EXPECT(txn_open_, "abort without begin");
-    txn_open_ = false;
-    staged_.clear();
-    order_.clear();
   }
 
   void read_block(std::uint64_t blkno, std::span<std::byte> dst) override {
@@ -215,7 +173,15 @@ class NvLogStackedBackend final : public TxnBackend,
   }
 
   [[nodiscard]] std::string name() const override {
-    return sharded_ != nullptr ? "NvLog-Sharded" : "NvLog-Tinca";
+    switch (cfg_.inner) {
+      case NvLogInner::kTinca:
+        return "NvLog-Tinca";
+      case NvLogInner::kSharded:
+        return "NvLog-Sharded";
+      case NvLogInner::kClassic:
+        return "NvLog-Classic";
+    }
+    return "NvLog";
   }
 
   void enable_tracing(bool on = true) override {
@@ -288,7 +254,7 @@ class NvLogStackedBackend final : public TxnBackend,
 
   cleaner::CleanOutcome cleaner_clean(std::uint64_t key,
                                       std::uint64_t* io_retries) override {
-    (void)io_retries;  // inner retries charge its own per-shard counters
+    (void)io_retries;  // inner retries charge the inner's own counters
     try {
       std::lock_guard<std::mutex> lock(tier_mu_);
       switch (tier_->drain_segment(key, *this)) {
@@ -322,9 +288,10 @@ class NvLogStackedBackend final : public TxnBackend,
 
   /// The log tier, for stats and tests.
   [[nodiscard]] nvlog::NvLogTier& tier() { return *tier_; }
-  /// The inner stack as its concrete backend (exactly one is non-null).
-  [[nodiscard]] TincaBackend* inner_tinca() { return tinca_.get(); }
-  [[nodiscard]] ShardedBackend* inner_sharded() { return sharded_.get(); }
+  /// The inner stack, for stats.
+  [[nodiscard]] TxnBackend& inner() { return *inner_; }
+  /// The inner as a ShardedBackend (nullptr unless inner == kSharded).
+  [[nodiscard]] ShardedBackend* inner_sharded() { return sharded_; }
 
  private:
   NvLogStackedBackend(nvm::NvmDevice& nvm, blockdev::BlockDevice& disk,
@@ -340,17 +307,28 @@ class NvLogStackedBackend final : public TxnBackend,
     // The cleaner's oracle sabotage knob maps onto the tier's: "mark clean
     // without writing" is exactly a drain that skips its apply.
     cfg.log.sabotage_skip_drain_apply |= cfg.cleaner.sabotage_skip_write;
-    if (cfg.inner == NvLogInner::kSharded) {
-      shard::ShardedConfig sc;
-      sc.num_shards = cfg.shards;
-      sc.shard = cfg.tinca;
-      sharded_ = recover ? ShardedBackend::recover(*store_view_, disk, sc)
-                         : ShardedBackend::format(*store_view_, disk, sc);
-      inner_ = sharded_.get();
-    } else {
-      tinca_ = recover ? TincaBackend::recover(*store_view_, disk, cfg.tinca)
-                       : TincaBackend::format(*store_view_, disk, cfg.tinca);
-      inner_ = tinca_.get();
+    switch (cfg.inner) {
+      case NvLogInner::kTinca:
+        inner_ = recover ? TincaBackend::recover(*store_view_, disk, cfg.tinca)
+                         : TincaBackend::format(*store_view_, disk, cfg.tinca);
+        break;
+      case NvLogInner::kSharded: {
+        shard::ShardedConfig sc;
+        sc.num_shards = cfg.shards;
+        sc.shard = cfg.tinca;
+        std::unique_ptr<ShardedBackend> sharded =
+            recover ? ShardedBackend::recover(*store_view_, disk, sc)
+                    : ShardedBackend::format(*store_view_, disk, sc);
+        sharded_ = sharded.get();
+        inner_ = std::move(sharded);
+        break;
+      }
+      case NvLogInner::kClassic:
+        cfg.classic.journaling = false;
+        inner_ = recover
+                     ? ClassicBackend::recover(*store_view_, disk, cfg.classic)
+                     : ClassicBackend::format(*store_view_, disk, cfg.classic);
+        break;
     }
     tier_ = recover ? nvlog::NvLogTier::recover(*log_view_, cfg.log)
                     : nvlog::NvLogTier::format(*log_view_, cfg.log);
@@ -360,12 +338,13 @@ class NvLogStackedBackend final : public TxnBackend,
     site_commit_ = trace_.site("commit");
   }
 
-  /// Apply one ascending batch through the inner's group-commit path,
-  /// chunked to its transaction capacity: each chunk is ONE merged inner
-  /// commit — one flush pass, one sfence (§14) — and durable on return.  A
-  /// crash between chunks just replays the segment (the watermark has not
-  /// advanced), and the inner's own commit protocol keeps each chunk
-  /// atomic.
+  /// Apply one ascending batch through the inner's commit_group path,
+  /// chunked to its transaction capacity: each chunk is ONE inner commit —
+  /// one flush pass, one sfence (§14) on Tinca/Sharded — and durable on
+  /// return.  A crash between chunks just replays the segment (the
+  /// watermark has not advanced), and the inner's own commit protocol keeps
+  /// each chunk atomic; the journal-less Classic inner makes each block
+  /// durable on its own, which is all a replayable drain needs.
   void apply_chunked(const DrainBatch& blocks) {
     const std::uint64_t chunk =
         std::max<std::uint64_t>(1, inner_->max_txn_blocks());
@@ -374,7 +353,7 @@ class NvLogStackedBackend final : public TxnBackend,
       GroupTxn g;
       g.writes.assign(blocks.begin() + static_cast<std::ptrdiff_t>(i),
                       blocks.begin() + static_cast<std::ptrdiff_t>(end));
-      inner_->commit_group(std::span<const GroupTxn>(&g, 1));
+      inner_->commit_group(std::span<GroupTxn>(&g, 1));
     }
   }
 
@@ -421,9 +400,9 @@ class NvLogStackedBackend final : public TxnBackend,
   NvLogStackedConfig cfg_;
   std::unique_ptr<nvm::NvmDevice> log_view_;
   std::unique_ptr<nvm::NvmDevice> store_view_;
-  std::unique_ptr<TincaBackend> tinca_;
-  std::unique_ptr<ShardedBackend> sharded_;
-  TxnBackend* inner_ = nullptr;  ///< whichever of the two is live
+  std::unique_ptr<TxnBackend> inner_;
+  /// inner_ when it is kSharded: the shard-affine drains partition by it.
+  ShardedBackend* sharded_ = nullptr;
   std::unique_ptr<nvlog::NvLogTier> tier_;
   std::unique_ptr<cleaner::Cleaner> cleaner_;
 
@@ -431,10 +410,6 @@ class NvLogStackedBackend final : public TxnBackend,
   /// callbacks run *inside* drain_segment while this is held; they touch
   /// only the inner stack, never the tier, so there is no recursion.
   mutable std::mutex tier_mu_;
-
-  bool txn_open_ = false;
-  std::map<std::uint64_t, std::vector<std::byte>> staged_;
-  std::vector<std::uint64_t> order_;
 };
 
 }  // namespace tinca::backend

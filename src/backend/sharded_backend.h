@@ -7,7 +7,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -35,38 +34,22 @@ class ShardedBackend final : public TxnBackend {
         shard::ShardedTinca::recover(nvm, disk, cfg), disk));
   }
 
-  void begin() override {
-    TINCA_EXPECT(!txn_.has_value(), "transaction already open");
-    txn_.emplace(sharded_->init_txn());
-  }
-
-  void stage(std::uint64_t blkno, std::span<const std::byte> data) override {
-    TINCA_EXPECT(txn_.has_value(), "stage without begin");
-    txn_->add(blkno, data);
-  }
-
-  void commit() override {
-    TINCA_EXPECT(txn_.has_value(), "commit without begin");
-    sharded_->commit(*txn_);
-    txn_.reset();
-  }
-
-  void abort() override {
-    TINCA_EXPECT(txn_.has_value(), "abort without begin");
-    sharded_->abort(*txn_);
-    txn_.reset();
-  }
-
   [[nodiscard]] bool supports_group_commit() const override { return true; }
 
-  void commit_group(std::span<const GroupTxn> txns) override {
-    TINCA_EXPECT(!txn_.has_value(), "group commit with a transaction open");
+  /// A group of one goes through ShardedTinca::commit, so the per-shard
+  /// batcher (ShardedConfig::group_commit) serves single transactions;
+  /// larger groups commit as one deterministic commit_batch.
+  void commit_group(std::span<GroupTxn> txns) override {
+    TINCA_EXPECT(!txn_open(), "group commit with a transaction open");
     std::vector<shard::ShardedTxn> staged;
     staged.reserve(txns.size());
-    for (const GroupTxn& t : txns) {
-      staged.emplace_back(sharded_->init_txn());
-      for (const auto& [blkno, data] : t.writes)
-        staged.back().add(blkno, data);
+    for (GroupTxn& t : txns) {
+      shard::ShardedTxn& txn = staged.emplace_back(sharded_->init_txn());
+      for (auto& [blkno, data] : t.writes) txn.add(blkno, std::move(data));
+    }
+    if (staged.size() == 1) {
+      sharded_->commit(staged.front());
+      return;
     }
     std::vector<shard::ShardedTxn*> ptrs;
     ptrs.reserve(staged.size());
@@ -137,7 +120,6 @@ class ShardedBackend final : public TxnBackend {
 
   std::unique_ptr<shard::ShardedTinca> sharded_;
   blockdev::BlockDevice& disk_;
-  std::optional<shard::ShardedTxn> txn_;
   std::unordered_map<std::uint64_t, shard::ShardedSnapshot> snaps_;
   std::uint64_t next_snap_ = 1;
 };

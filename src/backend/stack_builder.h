@@ -8,7 +8,6 @@
 #include <string>
 
 #include "backend/classic_backend.h"
-#include "backend/nvlog_backend.h"
 #include "backend/nvlog_stacked_backend.h"
 #include "backend/sharded_backend.h"
 #include "backend/tinca_backend.h"
@@ -53,13 +52,11 @@ struct StackConfig {
   core::TincaConfig tinca;
   classic::ClassicConfig classic;
   ubj::UbjConfig ubj;
-  /// NvLog tier + inner store for kNvLogClassic (`nvlog.inner` is the inner
-  /// Classic config; the top-level `classic` field is ignored there).
-  NvLogStackConfig nvlog;
-  /// NvLog tier over the real stacks for kNvLogTinca / kNvLogSharded
-  /// (DESIGN.md §16).  The inner cache config and shard count are copied
-  /// from the top-level `tinca` / `tinca_shards` fields at assembly time.
-  NvLogStackedConfig nvlog_stacked;
+  /// NvLog tier for kNvLogClassic / kNvLogTinca / kNvLogSharded (DESIGN.md
+  /// §13, §16).  The inner kind, the inner store config and the shard count
+  /// are set from `kind` and the top-level `classic` / `tinca` /
+  /// `tinca_shards` fields at assembly time.
+  NvLogStackedConfig nvlog;
   /// Shard count for kShardedTinca (per-shard config comes from `tinca`).
   std::uint32_t tinca_shards = 4;
   /// Disk fault schedule (DESIGN.md §9).  The defaults inject nothing, so
@@ -120,17 +117,15 @@ class Stack {
         backend_ = ShardedBackend::format(nvm_, disk_, s);
         break;
       }
-      case StackKind::kNvLogClassic: {
-        NvLogStackConfig c = cfg.nvlog;
-        c.inner.cache.io = cfg.disk_retry;
-        backend_ = NvLogBackend::format(nvm_, disk_, c);
-        break;
-      }
+      case StackKind::kNvLogClassic:
       case StackKind::kNvLogTinca:
       case StackKind::kNvLogSharded: {
-        NvLogStackedConfig c = cfg.nvlog_stacked;
-        c.inner = cfg.kind == StackKind::kNvLogSharded ? NvLogInner::kSharded
-                                                       : NvLogInner::kTinca;
+        NvLogStackedConfig c = cfg.nvlog;
+        c.inner = cfg.kind == StackKind::kNvLogClassic ? NvLogInner::kClassic
+                  : cfg.kind == StackKind::kNvLogSharded ? NvLogInner::kSharded
+                                                         : NvLogInner::kTinca;
+        c.classic = cfg.classic;
+        c.classic.cache.io = cfg.disk_retry;
         c.tinca = cfg.tinca;
         c.tinca.io = cfg.disk_retry;
         c.shards = cfg.tinca_shards;

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -30,38 +29,15 @@ class TincaBackend final : public TxnBackend {
         new TincaBackend(core::TincaCache::recover(nvm, disk, cfg), disk));
   }
 
-  void begin() override {
-    TINCA_EXPECT(!txn_.has_value(), "transaction already open");
-    txn_.emplace(cache_->tinca_init_txn());
-  }
-
-  void stage(std::uint64_t blkno, std::span<const std::byte> data) override {
-    TINCA_EXPECT(txn_.has_value(), "stage without begin");
-    txn_->add(blkno, data);
-  }
-
-  void commit() override {
-    TINCA_EXPECT(txn_.has_value(), "commit without begin");
-    cache_->tinca_commit(*txn_);
-    txn_.reset();
-  }
-
-  void abort() override {
-    TINCA_EXPECT(txn_.has_value(), "abort without begin");
-    cache_->tinca_abort(*txn_);
-    txn_.reset();
-  }
-
   [[nodiscard]] bool supports_group_commit() const override { return true; }
 
-  void commit_group(std::span<const GroupTxn> txns) override {
-    TINCA_EXPECT(!txn_.has_value(), "group commit with a transaction open");
+  void commit_group(std::span<GroupTxn> txns) override {
+    TINCA_EXPECT(!txn_open(), "group commit with a transaction open");
     std::vector<core::Transaction> staged;
     staged.reserve(txns.size());
-    for (const GroupTxn& t : txns) {
-      staged.emplace_back(cache_->tinca_init_txn());
-      for (const auto& [blkno, data] : t.writes)
-        staged.back().add(blkno, data);
+    for (GroupTxn& t : txns) {
+      core::Transaction& txn = staged.emplace_back(cache_->tinca_init_txn());
+      for (auto& [blkno, data] : t.writes) txn.add(blkno, std::move(data));
     }
     std::vector<core::Transaction*> ptrs;
     ptrs.reserve(staged.size());
@@ -138,7 +114,6 @@ class TincaBackend final : public TxnBackend {
 
   std::unique_ptr<core::TincaCache> cache_;
   blockdev::BlockDevice& disk_;
-  std::optional<core::Transaction> txn_;
   std::unordered_map<std::uint64_t, core::SnapshotPin> snaps_;
   std::uint64_t next_snap_ = 1;
 };

@@ -5,13 +5,23 @@
 // the §3 ablation variants) without touching workload code.  The model is
 // one open transaction at a time — matching both JBD2's running transaction
 // and Tinca's running transaction — staged in DRAM until commit().
+//
+// The base class owns that running transaction: begin/stage/commit/abort
+// are implemented once here, and commit() hands the staged set to
+// commit_group() as a group of one.  Concrete backends implement
+// commit_group(), reads, flush and snapshots; only forwarding decorators
+// (harness shims) override the four transaction calls.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
+
+#include "blockdev/block_device.h"
+#include "common/expect.h"
 
 namespace tinca::obs {
 class MetricsRegistry;
@@ -22,8 +32,9 @@ class Tracer;
 namespace tinca::backend {
 
 /// One member of a group commit: a whole transaction's write set, staged in
-/// DRAM and handed to commit_group() at once.  Duplicate block numbers
-/// inside one GroupTxn follow last-writer-wins, same as repeated stage().
+/// DRAM and handed to commit_group() at once.  Its block numbers are
+/// distinct (commit() builds it from the deduplicated staging); across the
+/// members of one group, later members win.
 struct GroupTxn {
   std::vector<std::pair<std::uint64_t, std::vector<std::byte>>> writes;
 };
@@ -34,16 +45,45 @@ class TxnBackend {
   virtual ~TxnBackend() = default;
 
   /// Open the running transaction.  At most one may be open.
-  virtual void begin() = 0;
+  virtual void begin() {
+    TINCA_EXPECT(!open_, "transaction already open");
+    open_ = true;
+  }
 
-  /// Stage a whole-block update into the running transaction.
-  virtual void stage(std::uint64_t blkno, std::span<const std::byte> data) = 0;
+  /// Stage a whole 4 KB block into the running transaction.  Restaging a
+  /// block keeps its first-staged position and its latest bytes.
+  virtual void stage(std::uint64_t blkno, std::span<const std::byte> data) {
+    TINCA_EXPECT(open_, "stage without begin");
+    TINCA_EXPECT(data.size() == blockdev::kBlockSize,
+                 "transaction blocks are 4 KB");
+    const auto [at, fresh] =
+        staged_at_.try_emplace(blkno, staged_.writes.size());
+    if (fresh)
+      staged_.writes.emplace_back(blkno, std::vector<std::byte>());
+    staged_.writes[at->second].second.assign(data.begin(), data.end());
+  }
 
-  /// Durably commit the running transaction (atomic all-or-nothing).
-  virtual void commit() = 0;
+  /// Durably commit the running transaction (atomic all-or-nothing) as a
+  /// commit_group() of one; an empty transaction commits nothing.
+  ///
+  /// Throw contract: the transaction is closed before its writes are handed
+  /// over, so a throw leaves no transaction open and the staged writes gone.
+  /// Whether they became durable is then settled as after a crash — all of
+  /// them or none — so a caller treats the outcome as unknown until it
+  /// remounts, and may begin() the next transaction.
+  virtual void commit() {
+    TINCA_EXPECT(open_, "commit without begin");
+    GroupTxn txn = std::move(staged_);
+    close_txn();
+    if (!txn.writes.empty()) commit_group(std::span<GroupTxn>(&txn, 1));
+  }
 
-  /// Abort the running transaction; staged updates are discarded.
-  virtual void abort() = 0;
+  /// Abort the running transaction; staged updates are discarded without
+  /// reaching the backend.
+  virtual void abort() {
+    TINCA_EXPECT(open_, "abort without begin");
+    close_txn();
+  }
 
   // --- Group commit (DESIGN.md §14) ----------------------------------------
 
@@ -51,16 +91,20 @@ class TxnBackend {
   /// fences) across the batch and makes the batch atomic as a unit.
   [[nodiscard]] virtual bool supports_group_commit() const { return false; }
 
-  /// Durably commit every transaction in `txns` as one batch.  Backends
-  /// that support group commit make the batch all-or-nothing — a transaction
-  /// spanning several persistence streams (shards) is anchored to one atomic
+  /// Durably commit every transaction in `txns` as one batch, consuming the
+  /// members (their block buffers may be moved out).  Backends that support
+  /// group commit make the batch all-or-nothing — a transaction spanning
+  /// several persistence streams (shards) is anchored to one atomic
   /// cross-stream commit record, so a crash either keeps all of its writes or
-  /// none — and pay one flush pass + one fence per stream touched.  The
-  /// default degrades to back-to-back single commits (each per-txn atomic)
-  /// so harnesses can drive any backend through one code path.  No
+  /// none — and pay one flush pass + one fence per stream touched; the others
+  /// commit the members back to back, each atomic on its own.  No
   /// transaction may be open when this is called.
-  virtual void commit_group(std::span<const GroupTxn> txns) {
-    for (const GroupTxn& t : txns) {
+  ///
+  /// Every concrete backend overrides this.  The default replays each member
+  /// through begin/stage/commit, for forwarding decorators that override
+  /// those four calls instead.
+  virtual void commit_group(std::span<GroupTxn> txns) {
+    for (GroupTxn& t : txns) {
       begin();
       for (const auto& [blkno, data] : t.writes) stage(blkno, data);
       commit();
@@ -132,6 +176,23 @@ class TxnBackend {
   /// under `prefix`.  The registry must not outlive the backend.
   virtual void register_metrics(obs::MetricsRegistry& /*reg*/,
                                 const std::string& /*prefix*/) const {}
+
+ protected:
+  /// Whether begin() opened a transaction that is not yet committed or
+  /// aborted (commit_group() overrides reject a call while one is).
+  [[nodiscard]] bool txn_open() const { return open_; }
+
+ private:
+  void close_txn() {
+    open_ = false;
+    staged_.writes.clear();
+    staged_at_.clear();
+  }
+
+  bool open_ = false;
+  GroupTxn staged_;  ///< the running transaction, in first-staged order
+  /// blkno → its index in staged_.writes.
+  std::unordered_map<std::uint64_t, std::size_t> staged_at_;
 };
 
 }  // namespace tinca::backend

@@ -2,8 +2,6 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
-#include <vector>
 
 #include "backend/txn_backend.h"
 #include "ubj/ubj_store.h"
@@ -27,31 +25,11 @@ class UbjBackend final : public TxnBackend {
         new UbjBackend(ubj::UbjStore::recover(nvm, disk, cfg), disk));
   }
 
-  void begin() override {
-    TINCA_EXPECT(!open_, "transaction already open");
-    open_ = true;
-  }
-
-  void stage(std::uint64_t blkno, std::span<const std::byte> data) override {
-    TINCA_EXPECT(open_, "stage without begin");
-    auto [it, inserted] = staged_.try_emplace(blkno);
-    if (inserted) order_.push_back(blkno);
-    it->second.assign(data.begin(), data.end());
-  }
-
-  void commit() override {
-    TINCA_EXPECT(open_, "commit without begin");
-    std::vector<std::pair<std::uint64_t, std::vector<std::byte>>> blocks;
-    blocks.reserve(order_.size());
-    for (std::uint64_t blkno : order_)
-      blocks.emplace_back(blkno, std::move(staged_[blkno]));
-    store_->commit_txn(blocks);
-    clear();
-  }
-
-  void abort() override {
-    TINCA_EXPECT(open_, "abort without begin");
-    clear();
+  /// Each member is its own UBJ transaction (one sequence publication
+  /// each), so a group is atomic per member only.
+  void commit_group(std::span<GroupTxn> txns) override {
+    TINCA_EXPECT(!txn_open(), "group commit with a transaction open");
+    for (const GroupTxn& t : txns) store_->commit_txn(t.writes);
   }
 
   void read_block(std::uint64_t blkno, std::span<std::byte> dst) override {
@@ -93,17 +71,8 @@ class UbjBackend final : public TxnBackend {
   UbjBackend(std::unique_ptr<ubj::UbjStore> store, blockdev::BlockDevice& disk)
       : store_(std::move(store)), disk_(disk) {}
 
-  void clear() {
-    open_ = false;
-    staged_.clear();
-    order_.clear();
-  }
-
   std::unique_ptr<ubj::UbjStore> store_;
   blockdev::BlockDevice& disk_;
-  bool open_ = false;
-  std::unordered_map<std::uint64_t, std::vector<std::byte>> staged_;
-  std::vector<std::uint64_t> order_;
 };
 
 }  // namespace tinca::backend

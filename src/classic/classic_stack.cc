@@ -5,11 +5,15 @@
 namespace tinca::classic {
 
 void ClassicTxn::add(std::uint64_t disk_blkno, std::span<const std::byte> data) {
+  add(disk_blkno, std::vector<std::byte>(data.begin(), data.end()));
+}
+
+void ClassicTxn::add(std::uint64_t disk_blkno, std::vector<std::byte>&& data) {
   TINCA_EXPECT(open_, "add to a closed transaction");
   TINCA_EXPECT(data.size() == blockdev::kBlockSize, "blocks are 4 KB");
   auto [it, inserted] = blocks_.try_emplace(disk_blkno);
   if (inserted) order_.push_back(disk_blkno);
-  it->second.assign(data.begin(), data.end());
+  it->second = std::move(data);
 }
 
 ClassicStack::ClassicStack(nvm::NvmDevice& nvm, blockdev::BlockDevice& disk,

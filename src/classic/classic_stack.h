@@ -40,6 +40,8 @@ class ClassicTxn {
  public:
   /// Stage a 4 KB block update; staging a block twice keeps the latest.
   void add(std::uint64_t disk_blkno, std::span<const std::byte> data);
+  /// Same, taking over the caller's buffer instead of copying it.
+  void add(std::uint64_t disk_blkno, std::vector<std::byte>&& data);
 
   [[nodiscard]] std::size_t block_count() const { return order_.size(); }
   [[nodiscard]] bool open() const { return open_; }

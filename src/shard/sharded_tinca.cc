@@ -11,17 +11,35 @@
 
 namespace tinca::shard {
 
+namespace {
+
+/// The pointer span TincaCache's batch calls take; `subs` must not grow
+/// while the pointers are in use.
+std::vector<core::Transaction*> pointers_to(
+    std::vector<core::Transaction>& subs) {
+  std::vector<core::Transaction*> ptrs;
+  ptrs.reserve(subs.size());
+  for (core::Transaction& t : subs) ptrs.push_back(&t);
+  return ptrs;
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // ShardedTxn
 // ---------------------------------------------------------------------------
 
 void ShardedTxn::add(std::uint64_t disk_blkno,
                      std::span<const std::byte> data) {
+  add(disk_blkno, std::vector<std::byte>(data.begin(), data.end()));
+}
+
+void ShardedTxn::add(std::uint64_t disk_blkno, std::vector<std::byte>&& data) {
   TINCA_EXPECT(open_, "add to a closed transaction");
   TINCA_EXPECT(data.size() == core::kBlockSize, "transaction blocks are 4 KB");
   auto [it, inserted] = blocks_.try_emplace(disk_blkno);
   if (inserted) order_.push_back(disk_blkno);
-  it->second.assign(data.begin(), data.end());
+  it->second = std::move(data);
 }
 
 // ---------------------------------------------------------------------------
@@ -185,17 +203,12 @@ std::uint32_t ShardedTinca::shard_of(std::uint64_t disk_blkno) const {
 
 void ShardedTinca::commit(ShardedTxn& txn) {
   TINCA_EXPECT(txn.open_, "commit of a closed transaction");
-  if (txn.order_.empty()) {
-    txn.open_ = false;
-    return;
-  }
-
   // With the batcher enabled, a single-shard transaction — the common case —
   // joins its home shard's group-commit queue instead of taking the shard
   // lock directly; concurrent committers then share one ring append, one
-  // flush pass and one fence.  Cross-shard transactions are rare and keep
-  // the legacy ascending-lock path below.
-  if (cfg_.group_commit) {
+  // flush pass and one fence.  Everything else — cross-shard transactions,
+  // or any transaction with the batcher off — is a commit_batch of one.
+  if (cfg_.group_commit && !txn.order_.empty()) {
     const std::uint32_t sid = shard_of(txn.order_.front());
     bool single = true;
     for (std::uint64_t blkno : txn.order_)
@@ -208,47 +221,20 @@ void ShardedTinca::commit(ShardedTxn& txn) {
       return;
     }
   }
+  ShardedTxn* const one[] = {&txn};
+  commit_batch(one);
+}
 
-  // Group the staged blocks by home shard, preserving staging order inside
-  // each group.  std::map iterates shards in ascending id — both the lock
-  // acquisition order and the publication order below, so any two
-  // transactions contending on several shards acquire them in the same
-  // global total order (no deadlocks).
-  TINCA_TRACE_SPAN(trace_, ts_commit_);
-  XShardGroups groups;
-  {
-    std::map<std::uint32_t, std::vector<std::uint64_t>> by_shard;
-    for (std::uint64_t blkno : txn.order_)
-      by_shard[shard_of(blkno)].push_back(blkno);
-    for (auto& [sid, blocks] : by_shard)
-      groups[sid].emplace_back(&txn, std::move(blocks));
+std::vector<core::Transaction> ShardedTinca::shard_txns(
+    core::TincaCache& cache, const Portions& parts) {
+  std::vector<core::Transaction> subs;
+  subs.reserve(parts.size());
+  for (const auto& [t, blocks] : parts) {
+    core::Transaction& sub = subs.emplace_back(cache.tinca_init_txn());
+    for (std::uint64_t blkno : blocks)
+      sub.add(blkno, std::move(t->blocks_.at(blkno)));
   }
-
-  if (groups.size() == 1) {
-    // Single home shard: one lock, the paper's exact protocol.
-    const std::uint32_t sid = groups.begin()->first;
-    Shard& sh = *shards_[sid];
-    std::unique_lock<std::mutex> lock(sh.mu, std::defer_lock);
-    {
-      // Lock-wait span: under contention this is where commit time goes,
-      // and it is invisible to the shards' virtual clocks (lock waits
-      // charge no device time) — hence the wall-clock tracer.
-      TINCA_TRACE_SPAN(trace_, ts_lock_wait_);
-      lock.lock();
-    }
-    TINCA_TRACE_SPAN(trace_, ts_publish_);
-    core::Transaction sub = sh.cache->tinca_init_txn();
-    for (std::uint64_t blkno : groups.begin()->second.front().second)
-      sub.add(blkno, txn.blocks_[blkno]);
-    sh.cache->tinca_commit(sub);
-  } else {
-    // Cross-shard: atomic through one commit-directory record (§15).
-    commit_across_shards(groups, /*member_count=*/1);
-  }
-
-  txn.open_ = false;
-  txn.blocks_.clear();
-  txn.order_.clear();
+  return subs;
 }
 
 void ShardedTinca::commit_grouped(std::uint32_t sid, ShardedTxn& txn) {
@@ -306,17 +292,11 @@ void ShardedTinca::commit_grouped(std::uint32_t sid, ShardedTxn& txn) {
         lock.lock();
       }
       TINCA_TRACE_SPAN(trace_, ts_publish_);
-      std::vector<core::Transaction> subs;
-      subs.reserve(batch.size());
-      for (GroupWaiter* w : batch) {
-        subs.emplace_back(sh.cache->tinca_init_txn());
-        for (std::uint64_t blkno : w->txn->order_)
-          subs.back().add(blkno, w->txn->blocks_[blkno]);
-      }
-      std::vector<core::Transaction*> ptrs;
-      ptrs.reserve(subs.size());
-      for (core::Transaction& t : subs) ptrs.push_back(&t);
-      sh.cache->commit_group(ptrs);
+      Portions parts;
+      parts.reserve(batch.size());
+      for (GroupWaiter* w : batch) parts.emplace_back(w->txn, w->txn->order_);
+      std::vector<core::Transaction> subs = shard_txns(*sh.cache, parts);
+      sh.cache->commit_group(pointers_to(subs));
     } catch (...) {
       err = std::current_exception();
     }
@@ -361,25 +341,20 @@ void ShardedTinca::commit_batch(std::span<ShardedTxn* const> txns) {
     // through one cross-stream commit record (§15).
     commit_across_shards(groups, txns.size());
   } else if (!groups.empty()) {
+    // Single home shard: one lock, the paper's exact protocol.
     auto& [sid, parts] = *groups.begin();
     Shard& sh = *shards_[sid];
     std::unique_lock<std::mutex> lock(sh.mu, std::defer_lock);
     {
+      // Lock-wait span: under contention this is where commit time goes,
+      // and it is invisible to the shards' virtual clocks (lock waits
+      // charge no device time) — hence the wall-clock tracer.
       TINCA_TRACE_SPAN(trace_, ts_lock_wait_);
       lock.lock();
     }
     TINCA_TRACE_SPAN(trace_, ts_publish_);
-    std::vector<core::Transaction> subs;
-    subs.reserve(parts.size());
-    for (auto& [t, blocks] : parts) {
-      subs.emplace_back(sh.cache->tinca_init_txn());
-      for (std::uint64_t blkno : blocks)
-        subs.back().add(blkno, t->blocks_[blkno]);
-    }
-    std::vector<core::Transaction*> ptrs;
-    ptrs.reserve(subs.size());
-    for (core::Transaction& t : subs) ptrs.push_back(&t);
-    sh.cache->commit_group(ptrs);
+    std::vector<core::Transaction> subs = shard_txns(*sh.cache, parts);
+    sh.cache->commit_group(pointers_to(subs));
   }
 
   for (ShardedTxn* t : txns) {
@@ -398,7 +373,7 @@ std::uint64_t ShardedTinca::dir_acquire_slot(std::uint32_t& cid_out) {
       // hints have passed: recovery's scan windows no longer reach those
       // batches, so the records are unreachable and the slots reusable.
       for (DirSlot& slot : dir_slots_) {
-        if (!slot.used) continue;
+        if (!slot.used || slot.deps.empty()) continue;  // free or in flight
         bool retirable = true;
         for (const DirDep& d : slot.deps) {
           if (shards_[d.shard]->cache->stream_ring(d.stream).durable_hint() <
@@ -444,6 +419,19 @@ void ShardedTinca::commit_across_shards(const XShardGroups& groups,
   // slow path inside (forcing hint syncs) takes shard mutexes itself.
   std::uint32_t cid = 0;
   const std::uint64_t slot = dir_acquire_slot(cid);
+  // Until its deps are registered at the end, the slot is in flight and no
+  // dir_acquire_slot retires it.  A commit that throws first hands it back,
+  // so a failed commit cannot leak a slot.
+  struct SlotGuard {
+    ShardedTinca& self;
+    std::uint64_t slot;
+    bool registered = false;
+    ~SlotGuard() {
+      if (registered) return;
+      std::lock_guard<std::mutex> lk(self.dir_mu_);
+      self.dir_slots_[slot].used = false;
+    }
+  } guard{*this, slot};
 
   std::vector<std::unique_lock<std::mutex>> locks;
   locks.reserve(groups.size());
@@ -465,17 +453,8 @@ void ShardedTinca::commit_across_shards(const XShardGroups& groups,
   subs_store.reserve(groups.size());
   for (auto& [sid, parts] : groups) {
     core::TincaCache& cache = *shards_[sid]->cache;
-    std::vector<core::Transaction> subs;
-    subs.reserve(parts.size());
-    for (const auto& [t, blocks] : parts) {
-      subs.emplace_back(cache.tinca_init_txn());
-      for (std::uint64_t blkno : blocks)
-        subs.back().add(blkno, t->blocks_.at(blkno));
-    }
-    std::vector<core::Transaction*> ptrs;
-    ptrs.reserve(subs.size());
-    for (core::Transaction& t : subs) ptrs.push_back(&t);
-    const bool staged = cache.batch_stage(ptrs, cid);
+    std::vector<core::Transaction> subs = shard_txns(cache, parts);
+    const bool staged = cache.batch_stage(pointers_to(subs), cid);
     TINCA_ENSURE(staged, "cross-shard member with no blocks on its shard");
     mask |= 1ull << (static_cast<std::uint64_t>(sid) * streams +
                      cache.batch_stream());
@@ -491,12 +470,17 @@ void ShardedTinca::commit_across_shards(const XShardGroups& groups,
   // whole transaction.  The record's flush is the atomic commit point: a
   // crash before it rolls every shard back, after it commits every shard.
   const core::CommitRecord rec{cid, mask, member_count};
-  const auto [rec_off, rec_len] =
-      core::CommitDirectory::stage(*dir_view_, slot, rec, dir_epoch_);
-  dir_view_->injector.point();  // CP: batches flushed, record staged only
-  if (!cfg_.sabotage_skip_commit_record_flush)
-    dir_view_->clflush(rec_off, rec_len);
-  dir_view_->injector.point();  // CP: record durable, nothing published
+  {
+    // Cross-shard commits over disjoint shards run concurrently, but they
+    // share the directory view's clock and counters.
+    std::lock_guard<std::mutex> lk(dir_mu_);
+    const auto [rec_off, rec_len] =
+        core::CommitDirectory::stage(*dir_view_, slot, rec, dir_epoch_);
+    dir_view_->injector.point();  // CP: batches flushed, record staged only
+    if (!cfg_.sabotage_skip_commit_record_flush)
+      dir_view_->clflush(rec_off, rec_len);
+    dir_view_->injector.point();  // CP: record durable, nothing published
+  }
   shards_[groups.begin()->first]->view->sfence();
   shards_[groups.begin()->first]->cache->note_shared_fence();
 
@@ -512,6 +496,7 @@ void ShardedTinca::commit_across_shards(const XShardGroups& groups,
     std::lock_guard<std::mutex> lk(dir_mu_);
     dir_slots_[slot].deps = std::move(deps);
   }
+  guard.registered = true;
 }
 
 void ShardedTinca::abort(ShardedTxn& txn) {

@@ -87,6 +87,8 @@ class ShardedTxn {
  public:
   /// Stage a 4 KB whole-block update; restaging a block keeps the latest.
   void add(std::uint64_t disk_blkno, std::span<const std::byte> data);
+  /// Same, taking over the caller's buffer instead of copying it.
+  void add(std::uint64_t disk_blkno, std::vector<std::byte>&& data);
 
   /// Number of distinct blocks staged.
   [[nodiscard]] std::size_t block_count() const { return order_.size(); }
@@ -217,7 +219,8 @@ class ShardedTinca {
   /// atomically across all of them through one cross-stream commit record
   /// (§15).  Single-threaded entry point (no batcher, no lingering) for
   /// backends and fuzz harnesses that form batches themselves.  Every member
-  /// is closed on return.
+  /// is closed on return; its staged buffers are handed over to the shard
+  /// caches, so after a throw a member can only be aborted.
   void commit_batch(std::span<ShardedTxn* const> txns);
 
   /// Abort a running transaction; staged blocks are discarded.
@@ -358,12 +361,18 @@ class ShardedTinca {
   /// durable or rethrows the batch's failure.
   void commit_grouped(std::uint32_t sid, ShardedTxn& txn);
 
-  /// Per-shard member portions of a cross-shard commit: shard id → the
-  /// member transactions contributing there, each with its block list for
-  /// that shard (ascending shard order, hence lock order).
-  using XShardGroups =
-      std::map<std::uint32_t,
-               std::vector<std::pair<ShardedTxn*, std::vector<std::uint64_t>>>>;
+  /// One shard's share of a batch: the member transactions contributing
+  /// there, each with its block list for that shard.
+  using Portions =
+      std::vector<std::pair<ShardedTxn*, std::vector<std::uint64_t>>>;
+  /// Per-shard portions of a batch: shard id → Portions (ascending shard
+  /// order, hence lock order).
+  using XShardGroups = std::map<std::uint32_t, Portions>;
+  /// One shard's core::Transactions for `parts`, one per member portion,
+  /// taking over the members' staged buffers (a block has one home shard,
+  /// so each buffer moves exactly once).  Caller holds the shard's mutex.
+  static std::vector<core::Transaction> shard_txns(core::TincaCache& cache,
+                                                   const Portions& parts);
 
   /// Atomic cross-shard commit (DESIGN.md §15): one anchored batch per
   /// involved shard, one commit-directory record, ONE fence.  `groups` must
@@ -391,7 +400,8 @@ class ShardedTinca {
   std::unique_ptr<sim::SimClock> dir_clock_;
   std::unique_ptr<nvm::NvmDevice> dir_view_;
   std::uint64_t dir_epoch_ = 0;  ///< shard 0's format epoch (record salt)
-  mutable std::mutex dir_mu_;    ///< guards the slot table + id counter
+  /// Guards the slot table, the id counter and dir_view_'s stores.
+  mutable std::mutex dir_mu_;
   std::uint32_t next_commit_id_ = 1;
   /// What blocks a slot's reuse: recovery stops scanning an anchored batch
   /// only once its stream's durable hint passed the batch's end.
@@ -402,6 +412,9 @@ class ShardedTinca {
   };
   struct DirSlot {
     bool used = false;
+    /// Empty while the owning commit is in flight.  Such a slot must not be
+    /// retired: a concurrent cross-shard commit would reuse it and overwrite
+    /// a record whose batches recovery still has to adjudicate.
     std::vector<DirDep> deps;
   };
   std::array<DirSlot, core::Layout::kDirSlots> dir_slots_;

@@ -15,12 +15,16 @@ namespace tinca::core {
 // ---------------------------------------------------------------------------
 
 void Transaction::add(std::uint64_t disk_blkno, std::span<const std::byte> data) {
+  add(disk_blkno, std::vector<std::byte>(data.begin(), data.end()));
+}
+
+void Transaction::add(std::uint64_t disk_blkno, std::vector<std::byte>&& data) {
   TINCA_EXPECT(open_, "add to a closed transaction");
   TINCA_EXPECT(data.size() == kBlockSize, "transaction blocks are 4 KB");
   TINCA_EXPECT(disk_blkno <= CacheEntry::kMaxDiskBlock, "disk block number too large");
   auto [it, inserted] = blocks_.try_emplace(disk_blkno);
   if (inserted) order_.push_back(disk_blkno);
-  it->second.assign(data.begin(), data.end());
+  it->second = std::move(data);
 }
 
 // ---------------------------------------------------------------------------

@@ -147,8 +147,10 @@ struct TincaCacheStats {
 /// tinca_abort.
 class Transaction {
  public:
-  /// Stage a 4 KB block update for `disk_blkno`.
+  /// Stage a 4 KB block update for `disk_blkno`; restaging keeps the latest.
   void add(std::uint64_t disk_blkno, std::span<const std::byte> data);
+  /// Same, taking over the caller's buffer instead of copying it.
+  void add(std::uint64_t disk_blkno, std::vector<std::byte>&& data);
 
   /// Number of distinct blocks staged.
   [[nodiscard]] std::size_t block_count() const { return order_.size(); }

@@ -286,6 +286,11 @@ void UbjStore::commit_txn(
   }
   TINCA_EXPECT(blocks.size() <= num_blocks_ / 3,
                "transaction exceeds UBJ's committable size");
+  // Validate the whole transaction before the first NVM store: a block
+  // rejected midway would leave its predecessors stored, frozen and indexed.
+  for (const auto& block : blocks)
+    TINCA_EXPECT(block.second.size() == kBlockSize,
+                 "UBJ commits whole 4 KB blocks");
   // Space pressure: checkpoint old transactions before taking new blocks.
   const auto low_water = static_cast<std::uint64_t>(
       cfg_.checkpoint_low_water * static_cast<double>(num_blocks_));
@@ -301,7 +306,6 @@ void UbjStore::commit_txn(
   std::vector<std::byte> scratch(kBlockSize);
 
   for (const auto& [blkno, data] : blocks) {
-    TINCA_EXPECT(data.size() == kBlockSize, "UBJ commits whole 4 KB blocks");
     nvm_.clock().advance(cfg_.cpu_op_ns);
     nvm_.injector.point();  // CP: before this block
     std::uint32_t slot;

@@ -19,7 +19,7 @@
 #include <thread>
 #include <vector>
 
-#include "backend/nvlog_backend.h"
+#include "backend/nvlog_stacked_backend.h"
 #include "blockdev/mem_block_device.h"
 #include "common/bytes.h"
 #include "common/rng.h"
@@ -490,10 +490,11 @@ std::vector<std::byte> block_of(std::uint64_t seed) {
   return b;
 }
 
-NvLogStackConfig nvlog_cfg() {
-  NvLogStackConfig cfg;
+NvLogStackedConfig nvlog_cfg() {
+  NvLogStackedConfig cfg;
   cfg.log_bytes = 1 << 19;
   cfg.log.segment_bytes = 64 * 1024;
+  cfg.inner = NvLogInner::kClassic;
   return cfg;
 }
 
@@ -512,7 +513,7 @@ TEST(NvLogGroupCommit, GroupAbsorbMergesMembersWithOneCommitRecord) {
   sim::SimClock clock;
   nvm::NvmDevice dev(1 << 21, nvdimm_profile(), clock);
   blockdev::MemBlockDevice disk(1 << 14);
-  auto be = NvLogBackend::format(dev, disk, nvlog_cfg());
+  auto be = NvLogStackedBackend::format(dev, disk, nvlog_cfg());
 
   std::vector<GroupTxn> batch;
   batch.push_back(member_of({{10, 1}, {11, 2}}));
@@ -541,7 +542,7 @@ TEST(NvLogGroupCommit, GroupAbsorbMergesMembersWithOneCommitRecord) {
 TEST(NvLogGroupCommitCrash, GroupAbsorbCutsAreAllOrNothing) {
   const auto run = [](nvm::NvmDevice& dev, blockdev::MemBlockDevice& disk,
                       std::uint64_t crash_step, bool* crashed) {
-    auto be = NvLogBackend::format(dev, disk, nvlog_cfg());
+    auto be = NvLogStackedBackend::format(dev, disk, nvlog_cfg());
     be->begin();
     const std::vector<std::byte> pre = block_of(99);
     be->stage(10, pre);
@@ -585,7 +586,7 @@ TEST(NvLogGroupCommitCrash, GroupAbsorbCutsAreAllOrNothing) {
     run(dev, disk, k, &crashed);
     ASSERT_TRUE(crashed) << "step " << k;
     dev.crash(rng, 0.5);
-    auto be = NvLogBackend::recover(dev, disk, nvlog_cfg());
+    auto be = NvLogStackedBackend::recover(dev, disk, nvlog_cfg());
 
     std::vector<std::byte> buf(kBlockSize);
     be->read_block(10, buf);

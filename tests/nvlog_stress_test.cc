@@ -1,7 +1,7 @@
 // Thread-safety stress for the deep-stacked NvLog tier (DESIGN.md §16),
 // aimed at TSan (ci.sh runs it in the sanitizer stage): several absorber
 // threads push committed transactions through NvLogStackedBackend's
-// thread-safe absorb path while a drainer loops drain_pass(), and the
+// thread-safe commit_group() while a drainer loops drain_pass(), and the
 // drains themselves run one real std::thread per shard batch
 // (drain_threads=true) into the sharded inner.  The assertions at the end
 // are plain single-threaded reads — the point of the test is that TSan
@@ -56,18 +56,13 @@ TEST(NvLogStackedStress, ConcurrentAbsorbersAndThreadedParallelDrains) {
   for (int a = 0; a < kAbsorbers; ++a) {
     absorbers.emplace_back([&, a] {
       for (int t = 0; t < kTxnsPerAbsorber; ++t) {
-        std::vector<std::vector<std::byte>> payloads;
-        std::vector<std::pair<std::uint64_t, std::span<const std::byte>>>
-            blocks;
-        payloads.reserve(kBlocksPerTxn);
-        blocks.reserve(kBlocksPerTxn);
+        backend::GroupTxn txn;
         for (int b = 0; b < kBlocksPerTxn; ++b) {
           const std::uint64_t blkno = static_cast<std::uint64_t>(
               a * 256 + (t * kBlocksPerTxn + b) % 64);
-          payloads.push_back(block_of(a * 1'000'000 + t * 100 + b));
-          blocks.emplace_back(blkno, payloads.back());
+          txn.writes.emplace_back(blkno, block_of(a * 1'000'000 + t * 100 + b));
         }
-        be->absorb_txn(blocks);
+        be->commit_group(std::span<backend::GroupTxn>(&txn, 1));
       }
       done.fetch_add(1, std::memory_order_release);
     });

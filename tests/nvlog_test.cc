@@ -3,7 +3,8 @@
 // Covers the log tier in isolation (absorb / lookup / coalescing drain /
 // recovery, torn log tail, segment wrap-around with a live unreplayed
 // prefix, the sabotage self-test proving the commit flush is load-bearing)
-// and the assembled NvLogBackend under a full crash-point sweep including a
+// and the assembled NvLog-Classic stack (NvLogStackedBackend over a
+// journal-less Classic inner) under a full crash-point sweep including a
 // re-crash mid-drain — the pull-the-plug test of §5.1, made exhaustive.
 #include <gtest/gtest.h>
 
@@ -11,7 +12,7 @@
 #include <optional>
 #include <vector>
 
-#include "backend/nvlog_backend.h"
+#include "backend/nvlog_stacked_backend.h"
 #include "blockdev/mem_block_device.h"
 #include "common/bytes.h"
 #include "nvlog/log_meta.h"
@@ -370,13 +371,14 @@ TEST(NvLogTier, MetricsRegistration) {
 
 using Expected = std::map<std::uint64_t, std::uint64_t>;
 
-backend::NvLogStackConfig sweep_cfg() {
-  backend::NvLogStackConfig cfg;
+backend::NvLogStackedConfig sweep_cfg() {
+  backend::NvLogStackedConfig cfg;
   cfg.log_bytes = kLogBytes;
   cfg.log.segment_bytes = kSegBytes;
+  cfg.inner = backend::NvLogInner::kClassic;
   // The inner store never journals, but the reserved area still bounds the
   // data blocks; keep it small for the 4096-block test disk.
-  cfg.inner.journal_blocks = 512;
+  cfg.classic.journal_blocks = 512;
   return cfg;
 }
 
@@ -408,7 +410,7 @@ struct SweepRun {
 
 SweepRun run_sweep(nvm::NvmDevice& nvm, blockdev::MemBlockDevice& disk,
                    std::uint64_t crash_step) {
-  auto be = backend::NvLogBackend::format(nvm, disk, sweep_cfg());
+  auto be = backend::NvLogStackedBackend::format(nvm, disk, sweep_cfg());
   nvm.injector.disarm();
   if (crash_step > 0) nvm.injector.arm(crash_step);
   SweepRun r;
@@ -437,7 +439,7 @@ SweepRun run_sweep(nvm::NvmDevice& nvm, blockdev::MemBlockDevice& disk,
 
 /// Reads the full block universe through `be` and matches it against one of
 /// `acceptable` (committed state, or committed + the ambiguous last txn).
-bool state_matches(backend::NvLogBackend& be,
+bool state_matches(backend::NvLogStackedBackend& be,
                    const std::vector<Expected>& acceptable,
                    const Expected& universe) {
   std::vector<std::byte> buf(kBlock);
@@ -497,7 +499,7 @@ TEST(NvLogBackendCrash, EveryStepRecoversAndReCrashMidDrainIsIdempotent) {
 
     const auto acceptable = acceptable_states(run);
     {
-      auto rec = backend::NvLogBackend::recover(nvm, disk, sweep_cfg());
+      auto rec = backend::NvLogStackedBackend::recover(nvm, disk, sweep_cfg());
       ASSERT_TRUE(state_matches(*rec, acceptable, universe))
           << "inconsistent recovery after crash at step " << step;
 
@@ -516,7 +518,7 @@ TEST(NvLogBackendCrash, EveryStepRecoversAndReCrashMidDrainIsIdempotent) {
     // Second recovery must land in the same acceptable set (draining moves
     // data between tiers, never changes what a read returns), and a full
     // drain afterwards must leave the log empty with the state intact.
-    auto rec2 = backend::NvLogBackend::recover(nvm, disk, sweep_cfg());
+    auto rec2 = backend::NvLogStackedBackend::recover(nvm, disk, sweep_cfg());
     ASSERT_TRUE(state_matches(*rec2, acceptable, universe))
         << "re-crash mid-drain broke recovery at step " << step;
     rec2->flush();
@@ -530,7 +532,7 @@ TEST(NvLogBackend, ReadsHitLogThenFallThrough) {
   sim::SimClock clock;
   nvm::NvmDevice nvm(kSweepNvmBytes, nvdimm_profile(), clock);
   blockdev::MemBlockDevice disk(1 << 12);
-  auto be = backend::NvLogBackend::format(nvm, disk, sweep_cfg());
+  auto be = backend::NvLogStackedBackend::format(nvm, disk, sweep_cfg());
 
   be->begin();
   const auto d1 = block_of(71);

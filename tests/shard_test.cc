@@ -6,6 +6,7 @@
 // structural media health (verify_media on every shard).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <thread>
 #include <vector>
@@ -211,6 +212,62 @@ TEST(ShardedTinca, ConcurrentCommitStressThenCrashRecoversEveryShard) {
       st->read_block(blk, buf);
       EXPECT_EQ(fingerprint(buf), fingerprint(block_of(seed)))
           << "thread " << t << " block " << blk;
+    }
+  }
+}
+
+TEST(ShardedTinca, RacingCrossShardCommitsKeepTheirDirectoryRecords) {
+  // Each round releases kThreads committers at once, every transaction
+  // spanning two shards, so they race through commit-directory slot
+  // acquisition; then the power fails.  Racing commits must never share an
+  // in-flight slot: the later record would overwrite the earlier one and
+  // recovery would roll an acknowledged transaction back.
+  sim::SimClock clock;
+  nvm::NvmDevice dev(kNvmBytes, nvdimm_profile(), clock);
+  blockdev::MemBlockDevice disk(kDiskBlocks);
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 32;
+  auto st = ShardedTinca::format(dev, disk, small_cfg());
+  std::map<std::uint64_t, std::uint64_t> truth;
+  std::uint64_t next_blk = 0;
+  std::uint64_t seed = 0;
+  Rng rng(7);
+  for (int r = 0; r < kRounds; ++r) {
+    std::vector<ShardedTxn> txns;
+    for (int t = 0; t < kThreads; ++t) {
+      const std::uint64_t a = next_blk++;
+      while (st->shard_of(next_blk) == st->shard_of(a)) ++next_blk;
+      const std::uint64_t b = next_blk++;
+      ShardedTxn& txn = txns.emplace_back(st->init_txn());
+      for (const std::uint64_t blk : {a, b}) {
+        txn.add(blk, block_of(++seed));
+        truth[blk] = seed;
+      }
+    }
+    std::atomic<int> ready{0};
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        ready.fetch_add(1, std::memory_order_acq_rel);
+        while (!go.load(std::memory_order_acquire)) {
+        }
+        st->commit(txns[static_cast<std::size_t>(t)]);
+      });
+    }
+    while (ready.load(std::memory_order_acquire) < kThreads) {
+    }
+    go.store(true, std::memory_order_release);
+    for (auto& th : threads) th.join();
+
+    dev.crash(rng, 0.5);
+    st.reset();
+    st = ShardedTinca::recover(dev, disk, small_cfg());
+    std::vector<std::byte> buf(core::kBlockSize);
+    for (const auto& [blk, s] : truth) {
+      st->read_block(blk, buf);
+      ASSERT_EQ(fingerprint(buf), fingerprint(block_of(s)))
+          << "round " << r << " block " << blk;
     }
   }
 }

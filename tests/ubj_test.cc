@@ -178,6 +178,25 @@ TEST(UbjStore, CrashSweepCommitInPlaceIsAtomic) {
   }
 }
 
+TEST(UbjStore, InvalidBlockRejectsTheWholeTxnBeforeAnyStore) {
+  // Block 2 is not 4 KB, so the commit must throw before block 1 reaches
+  // NVM: not readable live, and not resurrected by a later crash + recovery.
+  Fixture f;
+  f.commit_one(1, 10);
+  EXPECT_THROW(f.store->commit_txn({{1, f.block(11)},
+                                    {2, std::vector<std::byte>(100)}}),
+               ContractViolation);
+  EXPECT_EQ(f.read(1), f.block(10));
+  f.commit_one(3, 30);  // an unrelated commit, then a power cut
+  f.dev.crash_discard_all();
+  auto recovered = UbjStore::recover(f.dev, f.disk, f.cfg);
+  std::vector<std::byte> got(blockdev::kBlockSize);
+  recovered->read_block(1, got);
+  EXPECT_EQ(got, f.block(10));
+  recovered->read_block(3, got);
+  EXPECT_EQ(got, f.block(30));
+}
+
 TEST(UbjBackend, SatisfiesTheBackendContractBasics) {
   sim::SimClock clock;
   nvm::NvmDevice dev(kNvmBytes, nvdimm_profile(), clock);
