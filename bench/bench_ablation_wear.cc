@@ -11,11 +11,8 @@
 #include <vector>
 
 #include "backend/tinca_backend.h"
-#include "backend/ubj_backend.h"
 #include "bench_reporter.h"
 #include "bench_util.h"
-#include "blockdev/latency_block_device.h"
-#include "blockdev/mem_block_device.h"
 #include "nvlog/log_meta.h"
 #include "nvlog/nvlog_tier.h"
 #include "workloads/fio.h"
@@ -40,20 +37,6 @@ WearRow run_stack(backend::StackKind kind) {
   const auto r =
       workloads::run_fio(stack.backend(), stack.clock(), 8 * sim::kSec, cfg);
   return WearRow{r.write_ops, stack.nvm().wear()};
-}
-
-WearRow run_ubj() {
-  sim::SimClock clock;
-  nvm::NvmDevice nvm(ScaledDefaults::kNvmBytes, pcm_profile(), clock);
-  blockdev::MemBlockDevice mem(1ull << 17);
-  blockdev::LatencyBlockDevice ssd(mem, ssd_profile(), clock,
-                                   blockdev::WritePolicy::kAsync);
-  auto be = backend::UbjBackend::format(nvm, ssd);
-  workloads::FioConfig cfg;
-  cfg.dataset_blocks = ScaledDefaults::kFioDatasetBlocks;
-  cfg.write_pct = 100;
-  const auto r = workloads::run_fio(*be, clock, 8 * sim::kSec, cfg);
-  return WearRow{r.write_ops, nvm.wear()};
 }
 
 void emit(Table& t, BenchReporter& reporter, const char* name,
@@ -156,7 +139,7 @@ int main(int argc, char** argv) {
   Table t({"stack", "write ops", "line writes/op", "mean wear/line",
            "max wear/line", "ops before mean-cell death"});
   emit(t, reporter, "Classic", run_stack(backend::StackKind::kClassic));
-  emit(t, reporter, "UBJ", run_ubj());
+  emit(t, reporter, "UBJ", run_stack(backend::StackKind::kUbj));
   emit(t, reporter, "Tinca", run_stack(backend::StackKind::kTinca));
   std::cout << t.render();
   std::cout << "\nExpectation: Tinca's single-write commit cuts media wear"

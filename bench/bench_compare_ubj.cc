@@ -11,29 +11,12 @@
 #include "backend/ubj_backend.h"
 #include "bench_reporter.h"
 #include "bench_util.h"
-#include "blockdev/latency_block_device.h"
-#include "blockdev/mem_block_device.h"
 #include "workloads/fio.h"
 
 using namespace tinca;
 using namespace tinca::bench;
 
 namespace {
-
-struct UbjRig {
-  sim::SimClock clock;
-  nvm::NvmDevice nvm;
-  blockdev::MemBlockDevice mem;
-  blockdev::LatencyBlockDevice ssd;
-  std::unique_ptr<backend::UbjBackend> be;
-
-  UbjRig()
-      : nvm(ScaledDefaults::kNvmBytes, pcm_profile(), clock),
-        mem(1ull << 17),
-        ssd(mem, ssd_profile(), clock, blockdev::WritePolicy::kAsync) {
-    be = backend::UbjBackend::format(nvm, ssd);
-  }
-};
 
 struct Row {
   double iops;
@@ -74,48 +57,36 @@ int main(int argc, char** argv) {
   Table t({"R/W", "stack", "write IOPS", "clflush/op", "disk writes/op"});
   for (int write_pct : {70, 30}) {
     const char* label = write_pct == 70 ? "3/7" : "7/3";
-    {
-      backend::Stack stack(scaled_stack(backend::StackKind::kClassic));
+    for (const auto& [kind, system] :
+         {std::pair{backend::StackKind::kClassic, "Classic"},
+          std::pair{backend::StackKind::kUbj, "UBJ"},
+          std::pair{backend::StackKind::kTinca, "Tinca"}}) {
+      backend::Stack stack(scaled_stack(kind));
       const Row r = run_fio_on(stack.backend(), stack.clock(), stack.nvm(),
                                stack.disk().stats(), write_pct);
-      t.add_row({label, "Classic", Table::num(r.iops, 0),
+      t.add_row({label, system, Table::num(r.iops, 0),
                  Table::num(r.clflush_per_op, 1), Table::num(r.disk_per_op, 2)});
-      report(label, "Classic", r);
-    }
-    {
-      UbjRig rig;
-      const Row r = run_fio_on(*rig.be, rig.clock, rig.nvm, rig.ssd.stats(),
-                               write_pct);
-      t.add_row({label, "UBJ", Table::num(r.iops, 0),
-                 Table::num(r.clflush_per_op, 1), Table::num(r.disk_per_op, 2)});
-      report(label, "UBJ", r);
-    }
-    {
-      backend::Stack stack(scaled_stack(backend::StackKind::kTinca));
-      const Row r = run_fio_on(stack.backend(), stack.clock(), stack.nvm(),
-                               stack.disk().stats(), write_pct);
-      t.add_row({label, "Tinca", Table::num(r.iops, 0),
-                 Table::num(r.clflush_per_op, 1), Table::num(r.disk_per_op, 2)});
-      report(label, "Tinca", r);
+      report(label, system, r);
     }
   }
   std::cout << t.render();
 
   // The §5.4.4 diagnostics under a rewrite-heavy stress (hot working set).
   std::cout << "\nRewrite-heavy stress (4K hot blocks rewritten 8x):\n";
-  UbjRig rig;
+  backend::Stack stack(scaled_stack(backend::StackKind::kUbj));
+  backend::TxnBackend& be = stack.backend();
   std::vector<std::byte> blk(4096);
   for (int round = 0; round < 8; ++round) {
     for (std::uint64_t b = 0; b < 4096; b += 16) {
-      rig.be->begin();
+      be.begin();
       for (std::uint64_t i = 0; i < 16; ++i) {
         fill_pattern(blk, round * 10000 + b + i);
-        rig.be->stage(b + i, blk);
+        be.stage(b + i, blk);
       }
-      rig.be->commit();
+      be.commit();
     }
   }
-  const auto& s = rig.be->store().stats();
+  const auto& s = static_cast<backend::UbjBackend&>(be).store().stats();
   Table d({"UBJ diagnostic", "count"});
   d.add_row({"memcpy-on-critical-path COWs", Table::num(s.frozen_cow_copies)});
   d.add_row({"checkpoint disk writes", Table::num(s.checkpoint_writes)});

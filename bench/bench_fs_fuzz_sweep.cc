@@ -94,13 +94,13 @@ int main(int argc, char** argv) {
     opts.streams = c.streams;
     opts.seed = seed;
     opts.schedules = static_cast<std::uint32_t>(schedules);
-    opts.sabotage = sabotage;
+    opts.fs_sabotage = sabotage;
     fs::FsFuzzReport r = fs::run_fs_fuzz(opts);
 
     // Crash-point sweep rides on the same options (always sabotage-free:
     // the sweep verifies crash states, sabotage targets crash-free ones).
     fs::FsFuzzOptions sweep_opts = opts;
-    sweep_opts.sabotage = fs::FsSabotage::kNone;
+    sweep_opts.fs_sabotage = fs::FsSabotage::kNone;
     const fs::FsFuzzReport s = fs::run_fs_crash_sweep(sweep_opts, sweep_stride);
 
     const std::uint64_t violations = r.violations + s.violations;

@@ -144,6 +144,14 @@ cp "$JSON_OUT/group_commit.json" BENCH_group_commit.json
   --json "$JSON_OUT/multistream.json" > /dev/null
 cp "$JSON_OUT/multistream.json" BENCH_multistream.json
 
+# Benchmark self-test: perfbench (the BENCHMARK.json benchmark) builds its own
+# stacks against src/ in a stand-alone Release tree (.bench_build/perfbench)
+# that no stage above compiles.  --selftest builds it, checks that repeated
+# short runs agree bit for bit on every modeled metric, and that a planted
+# wrong shadow entry is reported as a failure; it exits nonzero on any
+# failed check, so a src/ change that breaks the benchmark fails CI here.
+python3 perfbench/run.py --selftest
+
 # Oracle self-test: a sabotaged run (harness corrupts a committed data block
 # behind the backend's back) must FAIL, proving the oracle has teeth.
 if "$BENCH_DIR/bench/bench_fs_fuzz_sweep" --schedules 20 --seed 1 \

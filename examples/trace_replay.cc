@@ -17,7 +17,6 @@
 #include <string>
 
 #include "backend/stack_builder.h"
-#include "backend/tinca_backend.h"
 #include "blockdev/latency_block_device.h"
 #include "blockdev/mem_block_device.h"
 #include "common/bytes.h"
@@ -39,34 +38,19 @@ F
 )";
 
 struct Replayer {
-  explicit Replayer(bool use_tinca)
+  explicit Replayer(backend::StackKind kind)
       : nvm(32 << 20, pcm_profile(), clock),
         store(1 << 16),
         ssd(store, ssd_profile(), clock) {
-    if (use_tinca) {
-      tinca_be = backend::TincaBackend::format(nvm, ssd, tinca_cfg);
-    } else {
-      classic::ClassicConfig cfg;
-      cfg.journal_blocks = 2048;
-      classic_be = backend::ClassicBackend::format(nvm, ssd, cfg);
-    }
-  }
-
-  backend::TxnBackend& be() {
-    return tinca_be ? static_cast<backend::TxnBackend&>(*tinca_be)
-                    : static_cast<backend::TxnBackend&>(*classic_be);
+    cfg.kind = kind;
+    cfg.classic.journal_blocks = 2048;
+    be = backend::open_backend(cfg, nvm, ssd, /*recover=*/false);
   }
 
   void crash_and_recover() {
     Rng rng(seq);
     nvm.crash(rng, 0.5);
-    if (tinca_be) {
-      tinca_be = backend::TincaBackend::recover(nvm, ssd, tinca_cfg);
-    } else {
-      classic::ClassicConfig cfg;
-      cfg.journal_blocks = 2048;
-      classic_be = backend::ClassicBackend::recover(nvm, ssd, cfg);
-    }
+    be = backend::open_backend(cfg, nvm, ssd, /*recover=*/true);
   }
 
   void replay_line(const std::string& line) {
@@ -79,29 +63,29 @@ struct Replayer {
       std::uint64_t blkno;
       in >> blkno;
       fill_pattern(buf, seq++);
-      be().begin();
-      be().stage(blkno, buf);
-      be().commit();
+      be->begin();
+      be->stage(blkno, buf);
+      be->commit();
       ++writes;
     } else if (op == "R") {
       std::uint64_t blkno;
       in >> blkno;
-      be().read_block(blkno, buf);
+      be->read_block(blkno, buf);
       ++reads;
     } else if (op == "T") {
-      be().begin();
+      be->begin();
       std::uint64_t blkno;
       std::uint64_t staged = 0;
       while (in >> blkno) {
         fill_pattern(buf, seq++);
-        be().stage(blkno, buf);
+        be->stage(blkno, buf);
         ++staged;
       }
-      be().commit();
+      be->commit();
       ++txns;
       writes += staged;
     } else if (op == "F") {
-      be().flush();
+      be->flush();
     } else if (op == "C") {
       crash_and_recover();
       ++crashes;
@@ -114,9 +98,8 @@ struct Replayer {
   nvm::NvmDevice nvm;
   blockdev::MemBlockDevice store;
   blockdev::LatencyBlockDevice ssd;
-  core::TincaConfig tinca_cfg;
-  std::unique_ptr<backend::TincaBackend> tinca_be;
-  std::unique_ptr<backend::ClassicBackend> classic_be;
+  backend::StackConfig cfg;
+  std::unique_ptr<backend::TxnBackend> be;
   std::uint64_t seq = 1;
   std::uint64_t writes = 0, reads = 0, txns = 0, crashes = 0;
 };
@@ -124,9 +107,10 @@ struct Replayer {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool use_tinca = argc < 2 || std::string(argv[1]) != "classic";
-  Replayer replayer(use_tinca);
-  std::printf("replaying against %s\n", use_tinca ? "Tinca" : "Classic");
+  const bool use_classic = argc >= 2 && std::string(argv[1]) == "classic";
+  Replayer replayer(use_classic ? backend::StackKind::kClassic
+                                : backend::StackKind::kTinca);
+  std::printf("replaying against %s\n", replayer.be->name().c_str());
 
   std::istringstream demo{kDemoTrace};
   std::ifstream file;

@@ -11,11 +11,11 @@
 // equal the committed history, or committed history + the one transaction
 // that was mid-commit (atomicity: nothing in between, nothing lost).
 //
-// The campaign plumbing (options, per-kind stack construction, reproduce
-// tags) lives in fuzz_common.h and is shared with the file-system-level
-// harness in src/fs/fs_fuzz.h.  Every violation message embeds the failing
-// schedule's seed and fault schedule verbatim plus a "reproduce:" tag that
-// replays it alone.
+// The campaign plumbing (options, their StackConfig, reproduce tags) lives
+// in fuzz_common.h and is shared with the file-system-level harness in
+// src/fs/fs_fuzz.h; stacks are opened through open_backend().  Every
+// violation message embeds the failing schedule's seed and fault schedule
+// verbatim plus a "reproduce:" tag that replays it alone.
 #pragma once
 
 #include <algorithm>
@@ -47,6 +47,8 @@ inline FuzzReport run_fault_fuzz(const FuzzOptions& opts) {
     fill_pattern(buf, value);
     return fingerprint(buf);
   };
+  // 512 KB per cache → ~100 Tinca/UBJ blocks, overcommitted by the universe.
+  const StackConfig cfg = detail::fuzz_stack_config(opts, 1ull << 19);
 
   const std::uint64_t last_schedule =
       static_cast<std::uint64_t>(opts.first_schedule) + opts.schedules;
@@ -67,18 +69,14 @@ inline FuzzReport run_fault_fuzz(const FuzzOptions& opts) {
     };
 
     sim::SimClock clock;
-    nvm::NvmDevice nvm(detail::fuzz_nvm_bytes(opts.kind, opts.nvm_bytes),
-                       nvdimm_profile(), clock);
-    blockdev::MemBlockDevice mem(opts.disk_blocks);
-    blockdev::FaultConfig fcfg;
+    nvm::NvmDevice nvm(cfg.nvm_bytes, nvm_profile_by_name(cfg.nvm_profile),
+                       clock);
+    blockdev::MemBlockDevice mem(cfg.disk_blocks);
+    blockdev::FaultConfig fcfg = cfg.disk_faults;
     fcfg.seed = fuzz_mix(sseed, 0xFA01);
-    fcfg.transient_read_rate = opts.transient_read_rate;
-    fcfg.transient_write_rate = opts.transient_write_rate;
-    fcfg.bad_sector_rate = opts.bad_sector_rate;
-    fcfg.torn_write_rate = opts.torn_write_rate;
     blockdev::FaultyBlockDevice disk(mem, fcfg, &clock, &nvm.injector);
 
-    std::unique_ptr<TxnBackend> be = detail::fuzz_build(opts, nvm, disk, false);
+    std::unique_ptr<TxnBackend> be = open_backend(cfg, nvm, disk, false);
     TINCA_EXPECT(opts.data_blocks <= be->data_block_limit(),
                  "fuzz universe exceeds the backend's data block limit");
     const std::uint64_t max_blocks = std::max<std::uint64_t>(
@@ -251,7 +249,7 @@ inline FuzzReport run_fault_fuzz(const FuzzOptions& opts) {
     nvm.injector.disarm();
     nvm.injector.disarm_torn();
     disk.quiesce();
-    detail::fuzz_collect(opts, *be, rep);
+    detail::fuzz_collect(*be, rep);
 
     if (wedged) {
       // A wedge aborts mid-operation by design; the interrupted operation's
@@ -268,7 +266,7 @@ inline FuzzReport run_fault_fuzz(const FuzzOptions& opts) {
       nvm.crash(rng, kSurvive[rng.below(4)]);
       be.reset();
       try {
-        be = detail::fuzz_build(opts, nvm, disk, true);
+        be = open_backend(cfg, nvm, disk, true);
       } catch (const std::exception& e) {
         record_violation(std::string("recovery failed: ") + e.what());
         continue;
@@ -278,7 +276,7 @@ inline FuzzReport run_fault_fuzz(const FuzzOptions& opts) {
       ++rep.clean_remounts;
       be.reset();
       try {
-        be = detail::fuzz_build(opts, nvm, disk, true);
+        be = open_backend(cfg, nvm, disk, true);
       } catch (const std::exception& e) {
         record_violation(std::string("clean remount failed: ") + e.what());
         continue;
@@ -350,10 +348,12 @@ inline FuzzReport run_fault_fuzz(const FuzzOptions& opts) {
                          why + ")");
       }
 
-      // Tinca media must also be *structurally* sound after recovery.
+      // Tinca media must also be *structurally* sound after recovery, read
+      // through the layout the stack was formatted with.
       if (ok && crashed && opts.kind == StackKind::kTinca) {
         const core::MediaReport mr = core::verify_media(
-            nvm, core::Layout::compute(nvm.size(), opts.ring_bytes));
+            nvm, core::Layout::compute(nvm.size(), cfg.tinca.ring_bytes,
+                                       cfg.tinca.num_streams));
         if (!mr.ok) {
           record_violation("verify_media: " + (mr.problems.empty()
                                                    ? std::string("not ok")
@@ -365,11 +365,8 @@ inline FuzzReport run_fault_fuzz(const FuzzOptions& opts) {
       // still decode and hold a mountable winning record.  This is the
       // structural check for the rotated hot-line metadata: a torn record
       // cut is acceptable only because an older valid record survives.
-      if (ok && crashed &&
-          (opts.kind == StackKind::kNvLogClassic ||
-           opts.kind == StackKind::kNvLogTinca ||
-           opts.kind == StackKind::kNvLogSharded)) {
-        nvm::NvmDevice logv(nvm, 0, detail::kFuzzLogBytes, clock);
+      if (ok && crashed && nvlog_stacked(opts.kind)) {
+        nvm::NvmDevice logv(nvm, 0, cfg.nvlog.log_bytes, clock);
         const core::MediaReport mr = core::verify_nvlog_media(logv);
         if (!mr.ok) {
           record_violation("verify_nvlog_media: " +
@@ -377,7 +374,7 @@ inline FuzzReport run_fault_fuzz(const FuzzOptions& opts) {
                                                 : mr.problems.front()));
         }
       }
-      if (crashed) detail::fuzz_collect(opts, *be, rep);
+      if (crashed) detail::fuzz_collect(*be, rep);
     } catch (const std::exception& e) {
       record_violation(std::string("verification threw: ") + e.what());
     }

@@ -1,8 +1,9 @@
 // Shared schedule/seed/campaign machinery for the randomized fault-fuzz
 // harnesses: the block-level harness (src/backend/fault_fuzz.h) and the
 // file-system-level harness (src/fs/fs_fuzz.h) both derive their schedules
-// from the same option block, build their stacks through the same per-kind
-// constructors, and report failures with the same reproduce-from-seed tag.
+// from the same option block, map it onto a StackConfig for open_backend()
+// (stack_builder.h), and report failures with the same reproduce-from-seed
+// tag.
 //
 // Everything is a function of FuzzOptions::seed and the schedule index, so a
 // failure anywhere reproduces from the printed "reproduce:" tag alone:
@@ -12,16 +13,14 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "backend/classic_backend.h"
-#include "backend/sharded_backend.h"
 #include "backend/stack_builder.h"
-#include "backend/tinca_backend.h"
 #include "backend/txn_backend.h"
-#include "backend/ubj_backend.h"
+#include "obs/json.h"
+#include "obs/metrics.h"
 
 namespace tinca::backend {
 
@@ -31,7 +30,8 @@ enum class FuzzSabotage : std::uint8_t {
   kNone = 0,
   /// Commit one unrecorded update over a committed block right before
   /// verification — the recovered/live state then matches no acceptable
-  /// history, and the harness must flag it.
+  /// history, and the harness must flag it.  Block-level harness only (the
+  /// fs harness's block overwrites are fs::FsSabotage).
   kCorruptCommitted,
   /// The background cleaner marks blocks clean WITHOUT their pre-writeback
   /// disk flush (DESIGN.md §11).  Stale disk data then leaks into reads
@@ -83,12 +83,13 @@ struct FuzzOptions {
   double transient_write_rate = 0.02;
   double bad_sector_rate = 0.002;
   double torn_write_rate = 0.001;
-  /// 0 = pick a per-kind default small enough to force evictions.
+  /// 0 = size the device per kind (detail::fuzz_stack_config), small
+  /// enough to force evictions.
   std::uint64_t nvm_bytes = 0;
   std::uint64_t disk_blocks = 1ull << 12;
   std::uint64_t ring_bytes = 64 * 1024;    ///< Tinca ring (per shard)
   std::uint64_t journal_blocks = 512;      ///< Classic journal reservation
-  std::uint32_t shards = 2;                ///< kShardedTinca only
+  std::uint32_t shards = 2;                ///< sharded stacks only
   /// Per-shard commit streams (DESIGN.md §15).  1 keeps the single-ring
   /// layout; >1 splits each shard's ring region into per-stream rings and
   /// lets cross-shard transactions anchor to the commit directory.
@@ -185,15 +186,15 @@ inline constexpr FuzzCampaign kFuzzCampaigns[] = {
      "NvLogTinca"},
     {StackKind::kNvLogSharded, cleaner::CleanerMode::kStepped, false, 1, false,
      "NvLogSharded"},
+    // Block level: commit_group() batches absorbed as one log txn run.  The
+    // fs harness never calls commit_group() and +group arms only the bare
+    // sharded stack's batcher, so at the fs level this row runs NvLogSharded
+    // with the log cleaner off: segments drain only under backpressure.
     {StackKind::kNvLogSharded, cleaner::CleanerMode::kDisabled, true, 1, false,
      "NvLogSharded+group"},
 };
 
 namespace detail {
-
-/// Log-tier carve-out shared by every NvLog fuzz stack (and by the harness'
-/// post-crash verify_nvlog_media sweep, which must view the same range).
-inline constexpr std::uint64_t kFuzzLogBytes = 1ull << 19;  // 512 KB
 
 inline std::uint64_t fuzz_mix(std::uint64_t a, std::uint64_t b) {
   std::uint64_t z = a + 0x9E3779B97F4A7C15ULL * (b + 1);
@@ -202,172 +203,83 @@ inline std::uint64_t fuzz_mix(std::uint64_t a, std::uint64_t b) {
   return z ^ (z >> 31);
 }
 
-/// Per-kind NVM size: small enough that the workload's block universe
-/// overcommits the cache (evictions + threshold cleaning run under faults),
-/// big enough for a valid layout (FlashCache needs one full 256-slot set).
-inline std::uint64_t fuzz_nvm_bytes(StackKind kind, std::uint64_t override) {
-  if (override != 0) return override;
-  switch (kind) {
-    case StackKind::kClassic:
-    case StackKind::kClassicNoJournal:
-      return 3ull << 19;  // 1.5 MB → one 256-slot set
-    case StackKind::kShardedTinca:
-      return (1ull << 19) * 2;  // two 512 KB shards
-    case StackKind::kNvLogClassic:
-      return (3ull << 19) + kFuzzLogBytes;  // classic cache + 512 KB log
-    case StackKind::kNvLogTinca:
-      return (1ull << 19) + kFuzzLogBytes;  // Tinca cache + 512 KB log
-    case StackKind::kNvLogSharded:
-      return (1ull << 19) * 2 + kFuzzLogBytes;  // two shards + 512 KB log
-    default:
-      return 1ull << 19;  // 512 KB → ~100 Tinca/UBJ blocks
-  }
-}
+/// The StackConfig a campaign's stacks are opened with.  `cache_unit` is
+/// the NVM given to one Tinca or UBJ cache (per shard on the sharded
+/// stacks): small enough that the workload's block universe overcommits it,
+/// so evictions and write-backs run under faults.  Classic always gets one
+/// full 256-slot FlashCache set (1.5 MB), and the NvLog stacks carve their
+/// 512 KB log out in front.  `o.nvm_bytes` != 0 overrides the total.
+inline StackConfig fuzz_stack_config(const FuzzOptions& o,
+                                     std::uint64_t cache_unit) {
+  StackConfig cfg;
+  cfg.kind = o.kind;
+  cfg.nvm_profile = "nvdimm";
+  cfg.disk_blocks = o.disk_blocks;
+  cfg.disk_faults.transient_read_rate = o.transient_read_rate;
+  cfg.disk_faults.transient_write_rate = o.transient_write_rate;
+  cfg.disk_faults.bad_sector_rate = o.bad_sector_rate;
+  cfg.disk_faults.torn_write_rate = o.torn_write_rate;
+  cfg.disk_retry = o.retry;
+  // Every cache runs its threshold cleaner on the campaign's settings.
+  // Over an NvLog tier the inner cache keeps its own, and the *log* cleaner
+  // (segment drains) is the one the stepped campaigns arm and crash-sweep.
+  const auto arm = [&o](cleaner::CleanerConfig& c) {
+    c.mode = o.cleaner;
+    c.low_water_pct = o.cleaner_low_water_pct;
+    c.high_water_pct = o.cleaner_high_water_pct;
+    c.sabotage_skip_write = o.sabotage == FuzzSabotage::kCleanerSkipsFlush;
+  };
+  arm(cfg.tinca.cleaner);
+  arm(cfg.ubj.cleaner);
+  arm(cfg.nvlog.cleaner);
+  cfg.tinca.ring_bytes = o.ring_bytes;
+  cfg.tinca.num_streams = o.streams;
+  cfg.classic.journal_blocks = o.journal_blocks;
+  cfg.sharded.num_shards = o.shards;
+  cfg.sharded.group_commit = o.group_commit;
+  // The harnesses are single-threaded, so lingering for co-committers only
+  // wastes wall clock; linger=0 keeps the full leader/batch commit path
+  // (the code under test) without the wait.
+  cfg.sharded.group_linger_us = 0;
+  cfg.sharded.sabotage_skip_commit_record_flush =
+      o.sabotage == FuzzSabotage::kSkipCommitRecordFlush;
+  cfg.nvlog.log_bytes = 1ull << 19;         // 512 KB log
+  cfg.nvlog.log.segment_bytes = 64 * 1024;  // 7 segments → frequent wrap
+  cfg.nvlog.log.sabotage_skip_commit_flush =
+      o.sabotage == FuzzSabotage::kNvLogSkipsCommitFlush;
+  cfg.nvlog.log.sabotage_skip_watermark_flush =
+      o.sabotage == FuzzSabotage::kSkipWatermarkRecordFlush;
 
-inline std::unique_ptr<TxnBackend> fuzz_build(const FuzzOptions& o,
-                                              nvm::NvmDevice& nvm,
-                                              blockdev::BlockDevice& disk,
-                                              bool recover) {
-  switch (o.kind) {
-    case StackKind::kTinca: {
-      core::TincaConfig c;
-      c.ring_bytes = o.ring_bytes;
-      c.num_streams = o.streams;
-      c.io = o.retry;
-      c.cleaner.mode = o.cleaner;
-      c.cleaner.low_water_pct = o.cleaner_low_water_pct;
-      c.cleaner.high_water_pct = o.cleaner_high_water_pct;
-      c.cleaner.sabotage_skip_write =
-          o.sabotage == FuzzSabotage::kCleanerSkipsFlush;
-      return recover ? TincaBackend::recover(nvm, disk, c)
-                     : TincaBackend::format(nvm, disk, c);
-    }
-    case StackKind::kClassic:
-    case StackKind::kClassicNoJournal: {
-      classic::ClassicConfig c;
-      c.journaling = o.kind == StackKind::kClassic;
-      c.journal_blocks = o.journal_blocks;
-      c.cache.io = o.retry;
-      return recover ? ClassicBackend::recover(nvm, disk, c)
-                     : ClassicBackend::format(nvm, disk, c);
-    }
-    case StackKind::kUbj: {
-      ubj::UbjConfig c;
-      c.io = o.retry;
-      c.cleaner.mode = o.cleaner;
-      c.cleaner.low_water_pct = o.cleaner_low_water_pct;
-      c.cleaner.high_water_pct = o.cleaner_high_water_pct;
-      c.cleaner.sabotage_skip_write =
-          o.sabotage == FuzzSabotage::kCleanerSkipsFlush;
-      return recover ? UbjBackend::recover(nvm, disk, c)
-                     : UbjBackend::format(nvm, disk, c);
-    }
-    case StackKind::kShardedTinca: {
-      shard::ShardedConfig s;
-      s.num_shards = o.shards;
-      s.group_commit = o.group_commit;
-      // The harnesses are single-threaded, so lingering for co-committers
-      // only wastes wall clock; linger=0 keeps the full leader/batch commit
-      // path (the code under test) without the wait.
-      s.group_linger_us = 0;
-      s.sabotage_skip_commit_record_flush =
-          o.sabotage == FuzzSabotage::kSkipCommitRecordFlush;
-      s.shard.ring_bytes = o.ring_bytes;
-      s.shard.num_streams = o.streams;
-      s.shard.io = o.retry;
-      s.shard.cleaner.mode = o.cleaner;
-      s.shard.cleaner.low_water_pct = o.cleaner_low_water_pct;
-      s.shard.cleaner.high_water_pct = o.cleaner_high_water_pct;
-      s.shard.cleaner.sabotage_skip_write =
-          o.sabotage == FuzzSabotage::kCleanerSkipsFlush;
-      return recover ? ShardedBackend::recover(nvm, disk, s)
-                     : ShardedBackend::format(nvm, disk, s);
-    }
-    case StackKind::kNvLogClassic:
-    case StackKind::kNvLogTinca:
-    case StackKind::kNvLogSharded: {
-      NvLogStackedConfig c;
-      c.log_bytes = kFuzzLogBytes;      // 512 KB log in front of the cache
-      c.log.segment_bytes = 64 * 1024;  // 7 segments → frequent wrap + drain
-      c.inner = o.kind == StackKind::kNvLogClassic ? NvLogInner::kClassic
-                : o.kind == StackKind::kNvLogSharded ? NvLogInner::kSharded
-                                                     : NvLogInner::kTinca;
-      c.classic.journal_blocks = o.journal_blocks;  // same data area as Classic
-      c.classic.cache.io = o.retry;
-      c.shards = o.shards;
-      c.tinca.ring_bytes = o.ring_bytes;
-      c.tinca.num_streams = o.streams;
-      c.tinca.io = o.retry;
-      // The inner cache keeps its own threshold cleaner on the harness'
-      // settings; the *log* cleaner (segment drains) is the one the stepped
-      // campaigns arm and crash-sweep.
-      c.tinca.cleaner.mode = o.cleaner;
-      c.tinca.cleaner.low_water_pct = o.cleaner_low_water_pct;
-      c.tinca.cleaner.high_water_pct = o.cleaner_high_water_pct;
-      c.tinca.cleaner.sabotage_skip_write =
-          o.sabotage == FuzzSabotage::kCleanerSkipsFlush;
-      c.cleaner.mode = o.cleaner;
-      c.cleaner.low_water_pct = o.cleaner_low_water_pct;
-      c.cleaner.high_water_pct = o.cleaner_high_water_pct;
-      c.cleaner.sabotage_skip_write =
-          o.sabotage == FuzzSabotage::kCleanerSkipsFlush;
-      c.log.sabotage_skip_commit_flush =
-          o.sabotage == FuzzSabotage::kNvLogSkipsCommitFlush;
-      c.log.sabotage_skip_watermark_flush =
-          o.sabotage == FuzzSabotage::kSkipWatermarkRecordFlush;
-      return recover ? NvLogStackedBackend::recover(nvm, disk, c)
-                     : NvLogStackedBackend::format(nvm, disk, c);
-    }
-  }
-  TINCA_ENSURE(false, "unknown StackKind");
-  return nullptr;
+  std::uint64_t cache = cache_unit;
+  if (o.kind == StackKind::kClassic || o.kind == StackKind::kClassicNoJournal ||
+      o.kind == StackKind::kNvLogClassic)
+    cache = 3ull << 19;
+  if (o.kind == StackKind::kShardedTinca || o.kind == StackKind::kNvLogSharded)
+    cache = cache_unit * o.shards;
+  cfg.nvm_bytes = o.nvm_bytes != 0 ? o.nvm_bytes
+                                   : cache + (nvlog_stacked(o.kind)
+                                                  ? cfg.nvlog.log_bytes
+                                                  : 0);
+  return cfg;
 }
 
 /// Fold the backend's retry/quarantine/degradation counters into `rep`.
-inline void fuzz_collect(const FuzzOptions& o, TxnBackend& be,
-                         FuzzReport& rep) {
-  const auto add = [&rep](std::uint64_t retries, std::uint64_t quarantined,
-                          std::uint64_t degraded) {
-    rep.io_retries += retries;
-    rep.io_quarantined += quarantined;
-    rep.io_degraded_writes += degraded;
-  };
-  switch (o.kind) {
-    case StackKind::kTinca: {
-      const core::TincaCacheStats& s =
-          static_cast<TincaBackend&>(be).cache().stats();
-      add(s.io_retries, s.io_quarantined, s.io_degraded_writes);
-      break;
-    }
-    case StackKind::kClassic:
-    case StackKind::kClassicNoJournal: {
-      const classic::FlashCacheStats& s =
-          static_cast<ClassicBackend&>(be).stack().cache().stats();
-      add(s.io_retries, s.io_quarantined, s.io_degraded_writes);
-      break;
-    }
-    case StackKind::kUbj: {
-      const ubj::UbjStats& s = static_cast<UbjBackend&>(be).store().stats();
-      add(s.io_retries, s.io_quarantined, s.io_degraded_writes);
-      break;
-    }
-    case StackKind::kShardedTinca: {
-      const core::TincaCacheStats s =
-          static_cast<ShardedBackend&>(be).sharded().aggregated_stats();
-      add(s.io_retries, s.io_quarantined, s.io_degraded_writes);
-      break;
-    }
-    case StackKind::kNvLogClassic:
-    case StackKind::kNvLogTinca:
-    case StackKind::kNvLogSharded: {
-      // The log tier retries nothing itself; fold in its inner stack's.
-      FuzzOptions inner = o;
-      inner.kind = StackKind::kShardedTinca;
-      if (o.kind == StackKind::kNvLogClassic) inner.kind = StackKind::kClassic;
-      if (o.kind == StackKind::kNvLogTinca) inner.kind = StackKind::kTinca;
-      fuzz_collect(inner, static_cast<NvLogStackedBackend&>(be).inner(), rep);
-      break;
-    }
+/// Every cache registers them as `<prefix>io.{retries,quarantined,
+/// degraded_writes}`; summing every registered copy covers each shard of a
+/// sharded stack and the inner stack under an NvLog tier (the tier itself
+/// retries nothing).
+inline void fuzz_collect(const TxnBackend& be, FuzzReport& rep) {
+  obs::MetricsRegistry reg;
+  be.register_metrics(reg, "");
+  const obs::Json doc = reg.to_json();
+  for (const auto& [name, value] : doc.members()) {
+    const std::string_view n = name;
+    std::uint64_t* total =
+        n.ends_with(".io.retries")           ? &rep.io_retries
+        : n.ends_with(".io.quarantined")     ? &rep.io_quarantined
+        : n.ends_with(".io.degraded_writes") ? &rep.io_degraded_writes
+                                             : nullptr;
+    if (total != nullptr) *total += static_cast<std::uint64_t>(value.num());
   }
 }
 

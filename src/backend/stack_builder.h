@@ -1,7 +1,9 @@
 // One-stop assembly of a full storage stack for benches, examples and
 // cluster nodes: virtual clock → NVM device → (mem + fault-injection +
 // latency) disk → transactional backend (Tinca or Classic or a §3 ablation
-// variant).
+// variant).  open_backend() is the one place a StackKind becomes a backend:
+// Stack calls it over its own devices, and the fuzz harnesses call it over
+// theirs to format, crash-recover and remount.
 #pragma once
 
 #include <memory>
@@ -55,10 +57,13 @@ struct StackConfig {
   /// NvLog tier for kNvLogClassic / kNvLogTinca / kNvLogSharded (DESIGN.md
   /// §13, §16).  The inner kind, the inner store config and the shard count
   /// are set from `kind` and the top-level `classic` / `tinca` /
-  /// `tinca_shards` fields at assembly time.
+  /// `sharded.num_shards` fields at assembly time.
   NvLogStackedConfig nvlog;
-  /// Shard count for kShardedTinca (per-shard config comes from `tinca`).
-  std::uint32_t tinca_shards = 4;
+  /// kShardedTinca front-end: shard count, group-commit batcher and the
+  /// commit-record sabotage hook.  Its `shard` field is ignored — the
+  /// per-shard config comes from `tinca`.  NvLog-over-Sharded stacks take
+  /// only `num_shards` from here.
+  shard::ShardedConfig sharded;
   /// Disk fault schedule (DESIGN.md §9).  The defaults inject nothing, so
   /// the decorator is a transparent pass-through unless rates are raised or
   /// faults are scripted through Stack::faulty_disk().
@@ -67,6 +72,69 @@ struct StackConfig {
   /// the selected backend's own config at assembly time).
   blockdev::RetryPolicy disk_retry{};
 };
+
+/// Whether `kind` puts the NVM write-ahead log tier in front of its store.
+constexpr bool nvlog_stacked(StackKind kind) {
+  return kind == StackKind::kNvLogClassic || kind == StackKind::kNvLogTinca ||
+         kind == StackKind::kNvLogSharded;
+}
+
+/// Format (`recover == false`) or mount with crash recovery (`recover ==
+/// true`) the backend `cfg.kind` names over `nvm` and `disk`, with
+/// `cfg.disk_retry` copied into its config.  The device fields of `cfg`
+/// (sizes, profiles, write policy, faults) describe devices the caller has
+/// already built; they are not read here.
+inline std::unique_ptr<TxnBackend> open_backend(const StackConfig& cfg,
+                                                nvm::NvmDevice& nvm,
+                                                blockdev::BlockDevice& disk,
+                                                bool recover) {
+  switch (cfg.kind) {
+    case StackKind::kTinca: {
+      core::TincaConfig c = cfg.tinca;
+      c.io = cfg.disk_retry;
+      return recover ? TincaBackend::recover(nvm, disk, c)
+                     : TincaBackend::format(nvm, disk, c);
+    }
+    case StackKind::kClassic:
+    case StackKind::kClassicNoJournal: {
+      classic::ClassicConfig c = cfg.classic;
+      c.journaling = cfg.kind == StackKind::kClassic;
+      c.cache.io = cfg.disk_retry;
+      return recover ? ClassicBackend::recover(nvm, disk, c)
+                     : ClassicBackend::format(nvm, disk, c);
+    }
+    case StackKind::kUbj: {
+      ubj::UbjConfig c = cfg.ubj;
+      c.io = cfg.disk_retry;
+      return recover ? UbjBackend::recover(nvm, disk, c)
+                     : UbjBackend::format(nvm, disk, c);
+    }
+    case StackKind::kShardedTinca: {
+      shard::ShardedConfig c = cfg.sharded;
+      c.shard = cfg.tinca;
+      c.shard.io = cfg.disk_retry;
+      return recover ? ShardedBackend::recover(nvm, disk, c)
+                     : ShardedBackend::format(nvm, disk, c);
+    }
+    case StackKind::kNvLogClassic:
+    case StackKind::kNvLogTinca:
+    case StackKind::kNvLogSharded: {
+      NvLogStackedConfig c = cfg.nvlog;
+      c.inner = cfg.kind == StackKind::kNvLogClassic ? NvLogInner::kClassic
+                : cfg.kind == StackKind::kNvLogSharded ? NvLogInner::kSharded
+                                                       : NvLogInner::kTinca;
+      c.classic = cfg.classic;
+      c.classic.cache.io = cfg.disk_retry;
+      c.tinca = cfg.tinca;
+      c.tinca.io = cfg.disk_retry;
+      c.shards = cfg.sharded.num_shards;
+      return recover ? NvLogStackedBackend::recover(nvm, disk, c)
+                     : NvLogStackedBackend::format(nvm, disk, c);
+    }
+  }
+  TINCA_ENSURE(false, "unknown StackKind");
+  return nullptr;
+}
 
 /// The assembled stack; owns every layer.
 class Stack {
@@ -81,59 +149,8 @@ class Stack {
         // write accounting below stays exact.
         faulty_(mem_, cfg.disk_faults, &clock_, &nvm_.injector),
         disk_(faulty_, disk_profile_by_name(cfg.disk_profile), clock_,
-              cfg.disk_writes) {
-    switch (cfg.kind) {
-      case StackKind::kTinca: {
-        core::TincaConfig c = cfg.tinca;
-        c.io = cfg.disk_retry;
-        backend_ = TincaBackend::format(nvm_, disk_, c);
-        break;
-      }
-      case StackKind::kClassic: {
-        classic::ClassicConfig c = cfg.classic;
-        c.journaling = true;
-        c.cache.io = cfg.disk_retry;
-        backend_ = ClassicBackend::format(nvm_, disk_, c);
-        break;
-      }
-      case StackKind::kClassicNoJournal: {
-        classic::ClassicConfig c = cfg.classic;
-        c.journaling = false;
-        c.cache.io = cfg.disk_retry;
-        backend_ = ClassicBackend::format(nvm_, disk_, c);
-        break;
-      }
-      case StackKind::kUbj: {
-        ubj::UbjConfig c = cfg.ubj;
-        c.io = cfg.disk_retry;
-        backend_ = UbjBackend::format(nvm_, disk_, c);
-        break;
-      }
-      case StackKind::kShardedTinca: {
-        shard::ShardedConfig s;
-        s.num_shards = cfg.tinca_shards;
-        s.shard = cfg.tinca;
-        s.shard.io = cfg.disk_retry;
-        backend_ = ShardedBackend::format(nvm_, disk_, s);
-        break;
-      }
-      case StackKind::kNvLogClassic:
-      case StackKind::kNvLogTinca:
-      case StackKind::kNvLogSharded: {
-        NvLogStackedConfig c = cfg.nvlog;
-        c.inner = cfg.kind == StackKind::kNvLogClassic ? NvLogInner::kClassic
-                  : cfg.kind == StackKind::kNvLogSharded ? NvLogInner::kSharded
-                                                         : NvLogInner::kTinca;
-        c.classic = cfg.classic;
-        c.classic.cache.io = cfg.disk_retry;
-        c.tinca = cfg.tinca;
-        c.tinca.io = cfg.disk_retry;
-        c.shards = cfg.tinca_shards;
-        backend_ = NvLogStackedBackend::format(nvm_, disk_, c);
-        break;
-      }
-    }
-  }
+              cfg.disk_writes),
+        backend_(open_backend(cfg, nvm_, disk_, /*recover=*/false)) {}
 
   [[nodiscard]] sim::SimClock& clock() { return clock_; }
   [[nodiscard]] nvm::NvmDevice& nvm() { return nvm_; }

@@ -32,10 +32,10 @@
 // the injector through every NVM-store point and every torn disk-write site
 // inside the script's final mutation batch + compound commit.
 //
-// Campaign plumbing (options base, per-kind stack construction, reproduce
-// tags) comes from src/backend/fuzz_common.h; every violation message embeds
-// the failing schedule's seed and fault schedule verbatim plus a
-// "reproduce:" tag that replays it alone.
+// Campaign plumbing (the shared options base, its StackConfig for
+// open_backend(), reproduce tags) comes from src/backend/fuzz_common.h;
+// every violation message embeds the failing schedule's seed and fault
+// schedule verbatim plus a "reproduce:" tag that replays it alone.
 #pragma once
 
 #include <algorithm>
@@ -55,9 +55,11 @@
 
 namespace tinca::fs {
 
-/// Deliberate harness sabotage for oracle self-tests ("does the fs-level
-/// oracle actually catch corruption the block image check cannot?").
-/// kNone in every real campaign.
+/// Deliberate fs-level harness sabotage for oracle self-tests ("does the
+/// fs-level oracle actually catch corruption the block image check
+/// cannot?").  kNone in every real campaign.  Stack-level sabotage (a
+/// cleaner skipping its flush, a commit record staged without its clflush)
+/// is armed through the shared FuzzOptions::sabotage instead.
 enum class FsSabotage : std::uint8_t {
   kNone = 0,
   /// After the final fsync, overwrite one committed *data* block behind
@@ -67,88 +69,44 @@ enum class FsSabotage : std::uint8_t {
   /// Same, but flip bits in the block allocation bitmap.  Only fsck()'s
   /// bitmap cross-check can catch it.
   kCorruptBitmap,
-  /// Arm the *stack-level* cleaner sabotage (FuzzSabotage::kCleanerSkipsFlush):
-  /// the cleaner marks blocks clean without their disk flush, so stale disk
-  /// data surfaces after remount and the image check must flag it.  Requires
-  /// a cleaner mode other than kDisabled.
-  kCleanerSkipsFlush,
-  /// Arm the stack-level cross-stream commit-record sabotage
-  /// (FuzzSabotage::kSkipCommitRecordFlush): the sharded stack stages its
-  /// §15 commit record without the clflush that makes it the atomic commit
-  /// point, so a crash rolls back acked cross-shard transactions and the
-  /// image check must flag the missing state.  Sharded stacks only.
-  kSkipCommitRecordFlush,
 };
 
-/// Parameters of one fs-level fuzz campaign (one stack kind, many schedules).
-struct FsFuzzOptions {
-  backend::StackKind kind = backend::StackKind::kTinca;
-  std::uint64_t seed = 1;
-  std::uint32_t schedules = 100;
-  /// First schedule index (schedule seeds depend only on the campaign seed
-  /// and the absolute index, so seed + first_schedule + schedules=1 replays
-  /// one schedule of a larger campaign — same contract as FuzzOptions).
-  std::uint32_t first_schedule = 0;
+/// Parameters of one fs-level fuzz campaign: the shared campaign options
+/// (stack, disk faults, cleaner, group commit, stack-level sabotage) at the
+/// fs-level defaults, plus the MiniFs workload.  The block workload's knobs
+/// (txns_per_schedule, max_blocks_per_txn, data_blocks) do not apply, and
+/// group_commit arms only the bare sharded stack's per-shard batcher:
+/// MiniFs drives one transaction at a time.
+struct FsFuzzOptions : backend::FuzzOptions {
+  FsFuzzOptions() {
+    schedules = 100;
+    // Lower disk fault rates than the block level: one fs op can cost
+    // dozens of block ops.
+    transient_read_rate = 0.005;
+    transient_write_rate = 0.01;
+    bad_sector_rate = 0.0005;
+    torn_write_rate = 0.0005;
+    crash_point_range = 600;
+  }
+
   /// File-system operations attempted per schedule.
   std::uint32_t ops_per_schedule = 36;
-  /// Probability a schedule arms a deterministic crash.
-  double crash_prob = 0.6;
-  /// Disk fault rates (per block operation).  Lower than the block-level
-  /// harness defaults: one fs op can issue dozens of block ops.
-  double transient_read_rate = 0.005;
-  double transient_write_rate = 0.01;
-  double bad_sector_rate = 0.0005;
-  double torn_write_rate = 0.0005;
-  /// 0 = per-kind default from fuzz_common.h.
-  std::uint64_t nvm_bytes = 0;
-  std::uint64_t disk_blocks = 1ull << 12;
-  std::uint64_t ring_bytes = 64 * 1024;
-  std::uint64_t journal_blocks = 512;
-  std::uint32_t shards = 2;
-  /// Per-shard commit streams (DESIGN.md §15); 1 keeps the single-ring
-  /// layout.
-  std::uint32_t streams = 1;
-  blockdev::RetryPolicy retry{};
   /// MiniFs knobs: small inode table (fast mkfs) and a short group-commit
   /// window (many small compound txns → many commit boundaries to cut).
   std::uint64_t inode_count = 512;
   std::uint64_t group_commit_ops = 6;
-  /// Background cleaner mode for the stack under test (kStepped drains one
-  /// cleaner quantum after every completed commit, deterministically).
-  cleaner::CleanerMode cleaner = cleaner::CleanerMode::kDisabled;
-  /// Cleaner watermarks (self-tests drop them so the cleaner provably does
-  /// work on every schedule; campaigns keep the production defaults).
-  std::uint32_t cleaner_low_water_pct = cleaner::CleanerConfig{}.low_water_pct;
-  std::uint32_t cleaner_high_water_pct =
-      cleaner::CleanerConfig{}.high_water_pct;
-  /// Group commit (DESIGN.md §14): arm the sharded stack's per-shard commit
-  /// batcher, so every single-shard MiniFs commit takes the leader/batch
-  /// path and the crash sweep cuts inside its pipeline stages.  No-op on
-  /// stacks without a batcher (MiniFs drives one transaction at a time).
-  bool group_commit = false;
   /// Oracle self-test hook; leave kNone outside harness self-tests.
-  FsSabotage sabotage = FsSabotage::kNone;
+  FsSabotage fs_sabotage = FsSabotage::kNone;
 };
 
 /// Campaign outcome.  `violations` and `fsck_dirty` are the failure signals
 /// (must both be 0); everything else is telemetry.
-struct FsFuzzReport {
-  std::uint64_t schedules = 0;
-  std::uint64_t crashes = 0;         ///< schedules ended by CrashException
-  std::uint64_t mkfs_crashes = 0;    ///< of those, crashes during mkfs itself
-  std::uint64_t clean_remounts = 0;  ///< crash-free recover+mount round trips
-  std::uint64_t io_errors = 0;       ///< unrecoverable-read IoError throws
-  std::uint64_t wedges = 0;          ///< documented capacity wedges hit
+struct FsFuzzReport : backend::FuzzReport {
+  std::uint64_t mkfs_crashes = 0;    ///< crashes during mkfs itself
   std::uint64_t fsck_runs = 0;
   std::uint64_t fsck_dirty = 0;      ///< fsck reports with problems (must be 0)
-  std::uint64_t violations = 0;      ///< model/image violations (must be 0)
-  std::vector<std::string> violation_messages;  ///< first few, with seeds
   std::uint64_t ops_executed = 0;
   std::uint64_t txns_committed = 0;
-  std::uint64_t io_retries = 0;
-  std::uint64_t io_quarantined = 0;
-  std::uint64_t io_degraded_writes = 0;
-  blockdev::FaultStats faults;       ///< summed over all schedules
   /// Sweep mode only: how many injector steps each sweep covered.
   std::uint64_t sweep_points = 0;
   std::uint64_t sweep_torn_points = 0;
@@ -157,30 +115,6 @@ struct FsFuzzReport {
 namespace detail {
 
 using backend::detail::fuzz_mix;
-
-/// Per-kind NVM size for the fs harness.  Bigger than the block harness's
-/// defaults: MiniFs requires a compound-transaction budget of ≥ 64 blocks
-/// (Tinca's budget is half its data slots, UBJ's a third), yet still small
-/// enough that a busy schedule evicts and writes back under fault pressure.
-inline std::uint64_t fs_nvm_bytes(backend::StackKind kind,
-                                  std::uint64_t override) {
-  if (override != 0) return override;
-  switch (kind) {
-    case backend::StackKind::kClassic:
-    case backend::StackKind::kClassicNoJournal:
-      return 3ull << 19;  // 1.5 MB → one full 256-slot set
-    case backend::StackKind::kShardedTinca:
-      return 2ull << 20;  // two 1 MB shards
-    case backend::StackKind::kNvLogClassic:
-      return (3ull << 19) + (1ull << 19);  // classic cache + 512 KB log
-    case backend::StackKind::kNvLogTinca:
-      return (1ull << 20) + (1ull << 19);  // 1 MB Tinca cache + 512 KB log
-    case backend::StackKind::kNvLogSharded:
-      return (2ull << 20) + (1ull << 19);  // two 1 MB shards + 512 KB log
-    default:
-      return 1ull << 20;  // 1 MB → ~230 Tinca/UBJ blocks, budget ~110
-  }
-}
 
 /// Wraps the backend under test and fingerprints every staged block, so the
 /// harness knows — without trusting the file system — exactly which block
@@ -613,34 +547,6 @@ inline bool image_matches(backend::TxnBackend& be,
   return true;
 }
 
-/// Translate FsFuzzOptions into the shared FuzzOptions base so stack
-/// construction and schedule tags come from fuzz_common.h unchanged.
-inline backend::FuzzOptions fs_stack_opts(const FsFuzzOptions& o) {
-  backend::FuzzOptions s;
-  s.kind = o.kind;
-  s.seed = o.seed;
-  s.transient_read_rate = o.transient_read_rate;
-  s.transient_write_rate = o.transient_write_rate;
-  s.bad_sector_rate = o.bad_sector_rate;
-  s.torn_write_rate = o.torn_write_rate;
-  s.nvm_bytes = o.nvm_bytes;
-  s.disk_blocks = o.disk_blocks;
-  s.ring_bytes = o.ring_bytes;
-  s.journal_blocks = o.journal_blocks;
-  s.shards = o.shards;
-  s.streams = o.streams;
-  s.retry = o.retry;
-  s.cleaner = o.cleaner;
-  s.cleaner_low_water_pct = o.cleaner_low_water_pct;
-  s.cleaner_high_water_pct = o.cleaner_high_water_pct;
-  s.group_commit = o.group_commit;
-  if (o.sabotage == FsSabotage::kCleanerSkipsFlush)
-    s.sabotage = backend::FuzzSabotage::kCleanerSkipsFlush;
-  if (o.sabotage == FsSabotage::kSkipCommitRecordFlush)
-    s.sabotage = backend::FuzzSabotage::kSkipCommitRecordFlush;
-  return s;
-}
-
 /// How one schedule's workload ended.
 enum class ScheduleEnd : std::uint8_t { kClean, kCrashed, kIoError, kWedged };
 
@@ -672,13 +578,17 @@ inline ScheduleOutcome run_fs_schedule(const FsFuzzOptions& opts,
   ++rep.schedules;
   Rng rng(sseed);
   std::string armed = "none";
-  const backend::FuzzOptions stack_opts = fs_stack_opts(opts);
+  // 1 MB per cache: MiniFs needs a compound-transaction budget of ≥ 64
+  // blocks (Tinca's is half its data slots, UBJ's a third), yet a busy
+  // schedule still evicts and writes back under fault pressure.
+  const backend::StackConfig cfg =
+      backend::detail::fuzz_stack_config(opts, 1ull << 20);
 
   const auto record_violation = [&](const std::string& what) {
     ++rep.violations;
     if (rep.violation_messages.size() < 16) {
       rep.violation_messages.push_back(
-          backend::fuzz_schedule_tag(stack_opts, sched, sseed, armed) + ": " +
+          backend::fuzz_schedule_tag(opts, sched, sseed, armed) + ": " +
           what + " | " + backend::fuzz_reproduce_tag(opts.seed, sched));
     }
   };
@@ -687,21 +597,16 @@ inline ScheduleOutcome run_fs_schedule(const FsFuzzOptions& opts,
   const std::uint64_t zero_fp = fingerprint(zero_blk);
 
   sim::SimClock clock;
-  nvm::NvmDevice nvm(fs_nvm_bytes(opts.kind, opts.nvm_bytes),
-                     nvdimm_profile(), clock);
-  blockdev::MemBlockDevice mem(opts.disk_blocks);
-  blockdev::FaultConfig fcfg;
+  nvm::NvmDevice nvm(cfg.nvm_bytes, nvm_profile_by_name(cfg.nvm_profile),
+                     clock);
+  blockdev::MemBlockDevice mem(cfg.disk_blocks);
+  blockdev::FaultConfig fcfg =
+      zero_faults ? blockdev::FaultConfig{} : cfg.disk_faults;
   fcfg.seed = fuzz_mix(sseed, 0xFB02);
-  if (!zero_faults) {
-    fcfg.transient_read_rate = opts.transient_read_rate;
-    fcfg.transient_write_rate = opts.transient_write_rate;
-    fcfg.bad_sector_rate = opts.bad_sector_rate;
-    fcfg.torn_write_rate = opts.torn_write_rate;
-  }
   blockdev::FaultyBlockDevice disk(mem, fcfg, &clock, &nvm.injector);
 
   std::unique_ptr<backend::TxnBackend> be =
-      backend::detail::fuzz_build(stack_opts, nvm, disk, false);
+      backend::open_backend(cfg, nvm, disk, false);
   RecordingBackend shim(*be);
 
   MiniFsConfig fscfg;
@@ -711,7 +616,7 @@ inline ScheduleOutcome run_fs_schedule(const FsFuzzOptions& opts,
   const auto set_arm = [&] {
     if (arm_kind == 1 && rng.chance(opts.crash_prob)) {
       if (rng.chance(0.5)) {
-        const std::uint64_t step = 1 + rng.below(600);
+        const std::uint64_t step = 1 + rng.below(opts.crash_point_range);
         nvm.injector.arm(step);
         armed = "point@" + std::to_string(step);
       } else {
@@ -883,13 +788,7 @@ inline ScheduleOutcome run_fs_schedule(const FsFuzzOptions& opts,
   nvm.injector.disarm();
   nvm.injector.disarm_torn();
   disk.quiesce();
-  {
-    backend::FuzzReport io;
-    backend::detail::fuzz_collect(stack_opts, *be, io);
-    rep.io_retries += io.io_retries;
-    rep.io_quarantined += io.io_quarantined;
-    rep.io_degraded_writes += io.io_degraded_writes;
-  }
+  backend::detail::fuzz_collect(*be, rep);
   rep.txns_committed += shim.boundaries();
 
   if (end == ScheduleEnd::kWedged) {
@@ -922,7 +821,7 @@ inline ScheduleOutcome run_fs_schedule(const FsFuzzOptions& opts,
     fsys.reset();
     be.reset();
     try {
-      be = backend::detail::fuzz_build(stack_opts, nvm, disk, true);
+      be = backend::open_backend(cfg, nvm, disk, true);
     } catch (const std::exception& e) {
       record_violation(std::string("recovery failed: ") + e.what());
       backend::detail::fuzz_fold_faults(rep.faults, disk.fault_stats());
@@ -933,11 +832,8 @@ inline ScheduleOutcome run_fs_schedule(const FsFuzzOptions& opts,
     // ring (DESIGN.md §16) — must still decode and hold a mountable winning
     // record after the crash.  A torn record cut is acceptable only because
     // an older valid record survives in another ring slot.
-    if (end == ScheduleEnd::kCrashed &&
-        (opts.kind == backend::StackKind::kNvLogClassic ||
-         opts.kind == backend::StackKind::kNvLogTinca ||
-         opts.kind == backend::StackKind::kNvLogSharded)) {
-      nvm::NvmDevice logv(nvm, 0, backend::detail::kFuzzLogBytes, clock);
+    if (end == ScheduleEnd::kCrashed && backend::nvlog_stacked(opts.kind)) {
+      nvm::NvmDevice logv(nvm, 0, cfg.nvlog.log_bytes, clock);
       const core::MediaReport mr = core::verify_nvlog_media(logv);
       if (!mr.ok) {
         record_violation("verify_nvlog_media: " +
@@ -948,17 +844,15 @@ inline ScheduleOutcome run_fs_schedule(const FsFuzzOptions& opts,
   }
 
   // --- sabotage (oracle self-test, clean schedules only) --------------------
-  // kCleanerSkipsFlush is not handled here: it is a continuous stack-level
-  // sabotage (armed via the cleaner config in fs_stack_opts), not a one-shot
-  // block overwrite.
-  if (!interrupted && mkfs_done &&
-      (opts.sabotage == FsSabotage::kCorruptData ||
-       opts.sabotage == FsSabotage::kCorruptBitmap)) {
+  // Stack-level sabotage is not handled here: it is armed continuously
+  // through the stack config (FuzzOptions::sabotage), not a one-shot block
+  // overwrite.
+  if (!interrupted && mkfs_done && opts.fs_sabotage != FsSabotage::kNone) {
     try {
       const MiniFs::Geometry& g = fsys->geometry();
       std::vector<std::byte> junk(blockdev::kBlockSize);
       fill_pattern(junk, fuzz_mix(sseed, 0x5AB0));
-      if (opts.sabotage == FsSabotage::kCorruptData) {
+      if (opts.fs_sabotage == FsSabotage::kCorruptData) {
         // Highest committed data block — some file's payload or a directory.
         std::uint64_t victim = 0;
         for (const auto& [blkno, fp] : shim.committed())
@@ -971,7 +865,7 @@ inline ScheduleOutcome run_fs_schedule(const FsFuzzOptions& opts,
       // backend cache would mask it, so force the remount path below.
       fsys.reset();
       be.reset();
-      be = backend::detail::fuzz_build(stack_opts, nvm, disk, true);
+      be = backend::open_backend(cfg, nvm, disk, true);
       remounted = true;
     } catch (const std::exception& e) {
       record_violation(std::string("sabotage setup failed: ") + e.what());
@@ -1078,7 +972,7 @@ inline ScheduleOutcome run_fs_schedule(const FsFuzzOptions& opts,
         ++rep.clean_remounts;
         fsys.reset();
         be.reset();
-        be = backend::detail::fuzz_build(stack_opts, nvm, disk, true);
+        be = backend::open_backend(cfg, nvm, disk, true);
         fsys = MiniFs::mount(*be, fscfg);
         ++rep.fsck_runs;
         const FsckReport fr2 = fsys->fsck();

@@ -255,6 +255,24 @@ TEST(FaultFuzzScripted, MultiStreamShardedSchedulesUpholdInvariants) {
   EXPECT_GT(rep.crashes, 0u) << describe(rep);
 }
 
+// The same streams on a bare Tinca cache: after every crash the harness
+// re-reads the media through the layout the cache was formatted with, so
+// the structural check must agree with a multi-stream superblock.
+TEST(FaultFuzzScripted, MultiStreamTincaSchedulesUpholdInvariants) {
+  FuzzOptions opts;
+  opts.kind = StackKind::kTinca;
+  opts.streams = 2;
+  opts.seed = env_u64("TINCA_FUZZ_SEED", 20260807);
+  opts.schedules =
+      static_cast<std::uint32_t>(env_u64("TINCA_FUZZ_SCHEDULES", 120));
+
+  const FuzzReport rep = run_fault_fuzz(opts);
+  EXPECT_EQ(rep.violations, 0u)
+      << describe(rep) << "reproduce: TINCA_FUZZ_SEED=" << opts.seed
+      << " TINCA_FUZZ_SCHEDULES=" << opts.schedules;
+  EXPECT_GT(rep.crashes, 0u) << describe(rep);
+}
+
 TEST(FaultFuzzScripted, MultiStreamGroupCommitSchedulesUpholdInvariants) {
   FuzzOptions opts;
   opts.kind = StackKind::kShardedTinca;

@@ -166,7 +166,7 @@ TEST(FsFuzzSabotage, SkippedCommitRecordFlushIsCaught) {
   FsFuzzOptions opts;
   opts.kind = StackKind::kShardedTinca;
   opts.streams = 2;
-  opts.sabotage = FsSabotage::kSkipCommitRecordFlush;
+  opts.sabotage = backend::FuzzSabotage::kSkipCommitRecordFlush;
   opts.seed = 409;
   opts.schedules = 20;
   opts.crash_prob = 0.9;  // the lie only shows when the power goes out
@@ -195,7 +195,7 @@ TEST(FsFuzzSabotage, CleanerSkippingFlushIsCaught) {
   // every schedule, so stale disk data is guaranteed to exist.
   opts.cleaner_low_water_pct = 0;
   opts.cleaner_high_water_pct = 1;
-  opts.sabotage = FsSabotage::kCleanerSkipsFlush;
+  opts.sabotage = backend::FuzzSabotage::kCleanerSkipsFlush;
   opts.seed = 407;
   opts.schedules = 8;
   opts.ops_per_schedule = 120;  // enough writes to evict lying-clean blocks
@@ -222,7 +222,7 @@ TEST(FsFuzzSabotage, NvLogDrainSkippingApplyIsCaught) {
   opts.cleaner = cleaner::CleanerMode::kStepped;
   opts.cleaner_low_water_pct = 0;
   opts.cleaner_high_water_pct = 1;
-  opts.sabotage = FsSabotage::kCleanerSkipsFlush;
+  opts.sabotage = backend::FuzzSabotage::kCleanerSkipsFlush;
   opts.seed = 408;
   opts.schedules = 8;
   opts.ops_per_schedule = 120;
@@ -253,7 +253,7 @@ TEST(FsFuzzSabotage, CorruptedDataBlockIsCaught) {
   opts.transient_write_rate = 0.0;
   opts.bad_sector_rate = 0.0;
   opts.torn_write_rate = 0.0;
-  opts.sabotage = FsSabotage::kCorruptData;
+  opts.fs_sabotage = FsSabotage::kCorruptData;
 
   const FsFuzzReport rep = run_fs_fuzz(opts);
   EXPECT_GT(rep.violations, 0u)
@@ -273,7 +273,7 @@ TEST(FsFuzzSabotage, CorruptedBitmapIsCaughtByFsck) {
   opts.transient_write_rate = 0.0;
   opts.bad_sector_rate = 0.0;
   opts.torn_write_rate = 0.0;
-  opts.sabotage = FsSabotage::kCorruptBitmap;
+  opts.fs_sabotage = FsSabotage::kCorruptBitmap;
 
   const FsFuzzReport rep = run_fs_fuzz(opts);
   EXPECT_GT(rep.fsck_dirty, 0u)
@@ -293,7 +293,7 @@ TEST(FsFuzzSabotage, ViolationReproducesFromPrintedSeed) {
   opts.transient_write_rate = 0.0;
   opts.bad_sector_rate = 0.0;
   opts.torn_write_rate = 0.0;
-  opts.sabotage = FsSabotage::kCorruptData;
+  opts.fs_sabotage = FsSabotage::kCorruptData;
 
   const FsFuzzReport first = run_fs_fuzz(opts);
   ASSERT_GT(first.violations, 0u) << describe(first);

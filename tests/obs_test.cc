@@ -352,7 +352,7 @@ TEST(StackObs, ShardedStackRegistersPerShardMetrics) {
   cfg.kind = backend::StackKind::kShardedTinca;
   cfg.nvm_bytes = 8 << 20;
   cfg.disk_blocks = 1 << 14;
-  cfg.tinca_shards = 4;
+  cfg.sharded.num_shards = 4;
   backend::Stack stack(cfg);
 
   MetricsRegistry reg;
