@@ -41,7 +41,9 @@ namespace tinca::nvlog {
 
 constexpr std::uint64_t kLogSuperMagic = 0x4E564C4F47535550ULL;  // "NVLOGSUP"
 constexpr std::uint64_t kLogWmMagic = 0x4E564C4F47574D4BULL;     // "NVLOGWMK"
-constexpr std::uint64_t kLogVersion = 2;  // v2: watermark record ring
+// v2: watermark record ring.  v3: every checksum is XXH64 (was FNV-1a), so a
+// v2 log is refused at mount rather than read as all-torn.
+constexpr std::uint64_t kLogVersion = 3;
 
 /// Segments start here; everything below is the metadata region.
 constexpr std::uint64_t kLogMetaBytes = 4096;

@@ -173,15 +173,33 @@ void NvLogTier::acquire_segment(DrainSink& sink) {
   const auto pick_free = [this]() -> std::optional<std::uint32_t> {
     // Wear-aware recycling: hand out the least-worn free segment so hot
     // absorb traffic rotates over the media instead of burning one range.
+    //
+    // A free segment's wear is scanned once and cached until it is
+    // acquired.  That is exact because nothing flushes a free segment:
+    // absorbs flush only what they appended, and those ranges sit in
+    // segments that stay sealed or active until the absorb ends.  That
+    // holds for the failed-absorb orphan flush too: its records lie in the
+    // segment that was active at entry or in ones acquired since, and a
+    // backpressure drain recycles only the chain head, which
+    // max_txn_blocks() keeps older than all of them.  Debug builds rescan
+    // on every pick to check that argument.
     std::optional<std::uint32_t> best;
     std::uint64_t best_wear = 0;
     for (std::uint32_t i = 0; i < num_segments_; ++i) {
-      if (segs_[i].state != SegState::kFree) continue;
-      const std::uint64_t w =
-          nvm_.wear(segment_base(i), cfg_.segment_bytes).total_line_writes;
-      if (!best.has_value() || w < best_wear) {
+      SegmentMeta& seg = segs_[i];
+      if (seg.state != SegState::kFree) continue;
+      const auto scan = [&] {
+        return nvm_.wear(segment_base(i), cfg_.segment_bytes)
+            .total_line_writes;
+      };
+      if (!seg.free_wear.has_value()) seg.free_wear = scan();
+#ifndef NDEBUG
+      TINCA_ENSURE(*seg.free_wear == scan(),
+                   "cached wear of a free nvlog segment went stale");
+#endif
+      if (!best.has_value() || *seg.free_wear < best_wear) {
         best = i;
-        best_wear = w;
+        best_wear = *seg.free_wear;
       }
     }
     return best;
@@ -211,6 +229,7 @@ void NvLogTier::acquire_segment(DrainSink& sink) {
 
   SegmentMeta& seg = segs_[*idx];
   seg.state = SegState::kActive;
+  seg.free_wear.reset();
   seg.seq = next_seq_++;
   seg.write_off = kSegHeaderBytes;
   seg.max_lsn = 0;

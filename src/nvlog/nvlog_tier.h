@@ -299,6 +299,10 @@ class NvLogTier {
     std::uint64_t write_off = 0;  ///< next append offset within the segment
     std::uint64_t max_lsn = 0;    ///< highest record lsn present
     std::uint64_t seal_ns = 0;    ///< virtual time of sealing (drain lag)
+    /// Free segments only: total_line_writes of the segment, filled by the
+    /// first pick that finds it free and dropped when it is acquired.
+    /// Nothing flushes a free segment, so the value cannot go stale.
+    std::optional<std::uint64_t> free_wear;
     std::vector<RecordMeta> records;
   };
 

@@ -35,17 +35,23 @@ NvmDevice::NvmDevice(NvmDevice& parent, std::uint64_t base, std::size_t bytes,
   TINCA_EXPECT(base + bytes <= parent.span_, "view exceeds parent range");
 }
 
-void NvmDevice::mark_dirty(std::size_t line) {
+void NvmDevice::mark_dirty(std::size_t first, std::size_t last) {
   // Lines are never shared between concurrently driven views (partitions are
-  // line-aligned), so the flag itself needs no synchronization; only the
-  // device-wide count does.
-  if (!root_->dirty_[line]) {
-    root_->dirty_[line] = 1;
-    root_->dirty_count_.fetch_add(1, std::memory_order_relaxed);
+  // line-aligned), so the flags themselves need no synchronization; only the
+  // device-wide count does, and it takes one update per call.
+  std::size_t newly = 0;
+  for (std::size_t line = first; line <= last; ++line) {
+    if (!root_->dirty_[line]) {
+      root_->dirty_[line] = 1;
+      ++newly;
+    }
   }
+  if (newly > 0)
+    root_->dirty_count_.fetch_add(newly, std::memory_order_relaxed);
 }
 
 void NvmDevice::store(std::uint64_t off, std::span<const std::byte> src) {
+  TINCA_EXPECT(!src.empty(), "store of zero bytes");
   TINCA_EXPECT(off + src.size() <= span_, "store out of range");
   const std::uint64_t abs = base_ + off;
   if (injector.point_torn()) {
@@ -55,16 +61,14 @@ void NvmDevice::store(std::uint64_t off, std::span<const std::byte> src) {
     const std::size_t keep = src.size() / 2;
     if (keep > 0) {
       std::memcpy(root_->volatile_.data() + abs, src.data(), keep);
-      const std::size_t f = abs / kLineSize;
-      const std::size_t l = (abs + keep - 1) / kLineSize;
-      for (std::size_t line = f; line <= l; ++line) mark_dirty(line);
+      mark_dirty(abs / kLineSize, (abs + keep - 1) / kLineSize);
     }
     throw CrashException();
   }
   std::memcpy(root_->volatile_.data() + abs, src.data(), src.size());
   const std::size_t first = abs / kLineSize;
   const std::size_t last = (abs + src.size() - 1) / kLineSize;
-  for (std::size_t line = first; line <= last; ++line) mark_dirty(line);
+  mark_dirty(first, last);
   ++stats_.stores;
   stats_.bytes_stored += src.size();
   // Store into the CPU cache: charged at DRAM-bus cost per line touched.
@@ -90,20 +94,23 @@ void NvmDevice::clflush(std::uint64_t off, std::size_t len) {
   const std::uint64_t abs = base_ + off;
   const std::size_t first = abs / kLineSize;
   const std::size_t last = (abs + len - 1) / kLineSize;
+  std::size_t flushed = 0;
   for (std::size_t line = first; line <= last; ++line) {
-    ++stats_.clflush;
-    if (root_->dirty_[line]) {
-      std::memcpy(root_->persistent_.data() + line * kLineSize,
-                  root_->volatile_.data() + line * kLineSize, kLineSize);
-      root_->dirty_[line] = 0;
-      root_->dirty_count_.fetch_sub(1, std::memory_order_relaxed);
-      ++root_->line_writes_[line];
-      clock_.advance(profile_.line_flush_cost());
-    } else {
-      // clflush of a clean line still costs the instruction.
-      clock_.advance(profile_.clflush_ns);
-    }
+    if (!root_->dirty_[line]) continue;
+    std::memcpy(root_->persistent_.data() + line * kLineSize,
+                root_->volatile_.data() + line * kLineSize, kLineSize);
+    root_->dirty_[line] = 0;
+    ++root_->line_writes_[line];
+    ++flushed;
   }
+  if (flushed > 0)
+    root_->dirty_count_.fetch_sub(flushed, std::memory_order_relaxed);
+  const std::size_t lines = last - first + 1;
+  stats_.clflush += lines;
+  // A flushed line costs the media write; clflush of a clean line still
+  // costs the instruction.
+  clock_.advance(flushed * profile_.line_flush_cost() +
+                 (lines - flushed) * profile_.clflush_ns);
 }
 
 void NvmDevice::sfence() {
@@ -116,7 +123,7 @@ void NvmDevice::atomic_store8(std::uint64_t off, std::uint64_t value) {
   TINCA_EXPECT(off + 8 <= span_, "atomic_store8 out of range");
   const std::uint64_t abs = base_ + off;
   std::memcpy(root_->volatile_.data() + abs, &value, 8);
-  mark_dirty(abs / kLineSize);
+  mark_dirty(abs / kLineSize, abs / kLineSize);
   ++stats_.atomic8;
   stats_.bytes_stored += 8;
   clock_.advance(profile_.base_line_ns);
@@ -128,7 +135,7 @@ void NvmDevice::atomic_store16(std::uint64_t off,
   TINCA_EXPECT(off + 16 <= span_, "atomic_store16 out of range");
   const std::uint64_t abs = base_ + off;
   std::memcpy(root_->volatile_.data() + abs, value.data(), 16);
-  mark_dirty(abs / kLineSize);
+  mark_dirty(abs / kLineSize, abs / kLineSize);
   ++stats_.atomic16;
   stats_.bytes_stored += 16;
   // LOCK cmpxchg16b is pricier than a plain store.

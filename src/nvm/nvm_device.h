@@ -24,7 +24,12 @@
 // different threads concurrently; that is what the sharded front-end
 // (src/shard/) builds on.  The only cross-view shared mutable state is the
 // dirty-line count (atomic) and the per-line dirty bits / wear counters,
-// which disjoint views never alias.
+// which disjoint views never alias.  Each store()/clflush() call updates the
+// count once, with the number of lines it dirtied or cleaned.  The dirty
+// map keeps one byte per line on purpose: views are only line-aligned, so
+// two views driven from different threads can own lines of the same 64-line
+// word (e.g. the commit-directory view and shard 0's stream-hint lines), and
+// a packed bitmap would need an atomic read-modify-write per word.
 //
 // Latency is charged to a SimClock (see common/sim_clock.h); operation counts
 // are accumulated in NvmStats, which the benches report as the paper's
@@ -196,7 +201,8 @@ class NvmDevice {
   CrashInjector& injector;
 
  private:
-  void mark_dirty(std::size_t line);
+  /// Mark lines [first, last] dirty; one dirty-count update per call.
+  void mark_dirty(std::size_t first, std::size_t last);
 
   NvmDevice* root_;        ///< self for a root device
   std::uint64_t base_;     ///< offset of this view within the root

@@ -17,7 +17,10 @@
 // commit streams share no metadata cache line.  The commit point of a batch
 // is still the single fence of its flush pass.  The entry table holds one
 // 16 B entry per data block; the rest of the device is 4 KB cached data
-// blocks.
+// blocks.  Format v4 keeps v3's layout; only the block fingerprint sealed in
+// ring block records changed (FNV-1a to XXH64, common/bytes.h), so a v3
+// image is refused at mount instead of having its committed batches fail
+// the new check and be revoked as torn.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +35,7 @@ constexpr std::uint64_t kBlockSize = 4096;
 /// Computed byte offsets for every region of the NVM device.
 struct Layout {
   static constexpr std::uint64_t kMagic = 0x54494E43'41434845ULL;  // "TINCACHE"
-  static constexpr std::uint64_t kVersion = 3;
+  static constexpr std::uint64_t kVersion = 4;
 
   /// Bytes per ring record (one block record or one batch commit record).
   static constexpr std::uint64_t kRingSlotBytes = 32;

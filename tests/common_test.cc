@@ -2,7 +2,11 @@
 // queue, resources, byte codecs, latency profiles, table printer.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/event_queue.h"
@@ -225,6 +229,30 @@ TEST(Bytes, FillPatternIsDeterministicAndSeedSensitive) {
   fill_pattern(c, 2);
   EXPECT_EQ(fingerprint(a), fingerprint(b));
   EXPECT_NE(fingerprint(a), fingerprint(c));
+}
+
+TEST(Bytes, FingerprintIsXxh64) {
+  // Reference XXH64 (seed 0) values.  The fill_pattern rows were also
+  // checked against the low 32 bits that `zstd --check` appends to a frame.
+  const auto of = [](const char* s) {
+    return fingerprint(std::as_bytes(std::span(s, std::strlen(s))));
+  };
+  EXPECT_EQ(of(""), 0xEF46DB3751D8E999ULL);
+  EXPECT_EQ(of("abc"), 0x44BC2CF5AD770999ULL);
+  // 31 B runs only the tail steps, 32 B one lane round, 33 B a round plus a
+  // 1-byte tail, and 4096 B (one block) many rounds.
+  const std::pair<std::size_t, std::uint64_t> known[] = {
+      {31, 0x0DFBCDFAE178ECC5ULL},
+      {32, 0x1447DE5C537E2859ULL},
+      {33, 0xEBD9173EDED1678EULL},
+      {100, 0xDCF54BE8C58819F6ULL},
+      {4096, 0xA81D3A0E043908BAULL},
+  };
+  for (const auto& [len, want] : known) {
+    std::vector<std::byte> v(len);
+    fill_pattern(v, 7);
+    EXPECT_EQ(fingerprint(v), want) << "length " << len;
+  }
 }
 
 TEST(Latency, ProfilesMatchPaperDeltas) {

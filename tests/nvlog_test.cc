@@ -8,6 +8,7 @@
 // re-crash mid-drain — the pull-the-plug test of §5.1, made exhaustive.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <optional>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "backend/nvlog_stacked_backend.h"
 #include "blockdev/mem_block_device.h"
 #include "common/bytes.h"
+#include "common/expect.h"
 #include "nvlog/log_meta.h"
 #include "nvlog/nvlog_tier.h"
 #include "obs/metrics.h"
@@ -243,6 +245,112 @@ TEST(NvLogTier, SegmentWrapAroundKeepsLiveUnreplayedPrefix) {
   EXPECT_EQ(rec->live_records(), 0u);
   for (const auto& [blkno, want] : expected)
     EXPECT_EQ(fingerprint(sink.applied[blkno]), fingerprint(block_of(want)));
+}
+
+TEST(NvLogTier, AcquiresLeastWornFreeSegment) {
+  sim::SimClock clock;
+  nvm::NvmDevice nvm(kLogBytes, nvdimm_profile(), clock);
+  const std::uint64_t num_segs = (kLogBytes - kLogMetaBytes) / kSegBytes;
+  const auto seg_base = [](std::uint64_t i) {
+    return kLogMetaBytes + i * kSegBytes;
+  };
+  // Uneven starting wear, kept off the header lines (still all zero).
+  const std::vector<std::byte> line(64, std::byte{0x5A});
+  for (std::uint64_t i = 0; i < num_segs; ++i) {
+    for (std::uint64_t l = 1; l <= (i * 5 % 7) * 3; ++l) {
+      nvm.store(seg_base(i) + l * 64, line);
+      nvm.persist(seg_base(i) + l * 64, 64);
+    }
+  }
+  MapSink sink;
+  auto tier = NvLogTier::format(nvm, small_cfg());
+  ASSERT_EQ(tier->num_segments(), num_segs);
+
+  // A segment header stores its seq at byte 8; a segment is free when it
+  // was never acquired (seq 0) or lies below the drained prefix.
+  const auto seq_of = [&](std::uint64_t i) {
+    return nvm.load8(seg_base(i) + 8);
+  };
+  const auto wear_of = [&](std::uint64_t i) {
+    return nvm.wear(seg_base(i), kSegBytes).total_line_writes;
+  };
+  std::uint64_t newest_seq = 0;
+  std::uint64_t acquires = 0;
+  // Three full wraps: every segment recycled three times over.
+  for (std::uint64_t txn = 0;
+       tier->stats().segments_recycled < 3 * num_segs; ++txn) {
+    ASSERT_LT(txn, 2000u) << "log stopped recycling segments";
+    std::vector<std::uint64_t> wear_before(num_segs);
+    for (std::uint64_t i = 0; i < num_segs; ++i) wear_before[i] = wear_of(i);
+
+    // One-block txns acquire at most one segment each, after any
+    // backpressure drain and before appending, so the free set at that
+    // acquire is the free set now plus the chosen segment, and no segment
+    // that was free then has been written since.
+    absorb_one(*tier, sink, {{txn % 23, txn}});
+    std::optional<std::uint64_t> chosen;
+    for (std::uint64_t i = 0; i < num_segs; ++i) {
+      if (seq_of(i) <= newest_seq) continue;
+      ASSERT_FALSE(chosen.has_value()) << "two acquires in one absorb";
+      chosen = i;
+    }
+    if (chosen.has_value()) {
+      newest_seq = seq_of(*chosen);
+      ++acquires;
+      for (std::uint64_t i = 0; i < num_segs; ++i) {
+        const std::uint64_t seq = seq_of(i);
+        if (i == *chosen || (seq != 0 && seq >= tier->oldest_live_seq()))
+          continue;
+        EXPECT_LE(wear_before[*chosen], wear_before[i])
+            << "acquire " << acquires << " took segment " << *chosen
+            << " over less-worn free segment " << i;
+      }
+    }
+
+    // Vary the free set: a full drain now and then seals a short segment
+    // and frees every segment; in between, the cleaner drains one sealed
+    // segment early, and backpressure drains do the rest.
+    if (txn % 200 == 199) {
+      tier->drain_all(sink);
+    } else if (txn % 60 == 59) {
+      std::vector<std::uint64_t> seqs;
+      tier->collect_drainable(1, seqs);
+      for (const std::uint64_t s : seqs) tier->drain_segment(s, sink);
+    }
+  }
+  EXPECT_GT(acquires, 3 * num_segs);
+  EXPECT_GT(tier->stats().backpressure_drains, 0u);
+}
+
+TEST(NvLogTier, RecoverRejectsLogVersion2) {
+  // v2 logs carry FNV-1a checksums, which never validate under v3's XXH64:
+  // the mount must refuse the log instead of reading every record as torn.
+  sim::SimClock clock;
+  nvm::NvmDevice nvm(kLogBytes, nvdimm_profile(), clock);
+  MapSink sink;
+  NvLogTier::format(nvm, small_cfg());
+  auto tier = NvLogTier::format(nvm, small_cfg());  // format nonce 2
+  absorb_one(*tier, sink, {{1, 1}});
+  tier.reset();
+
+  // Restamp the superblock as version 2 under a checksum that validates.
+  std::array<std::byte, kLogSuperBytes> sup{};
+  nvm.load(0, sup);
+  EXPECT_EQ(load_le(sup.data() + kSupVersionAt, 8), kLogVersion);
+  EXPECT_EQ(load_le(sup.data() + kSupNonceAt, 8), 2u);
+  store_le(sup.data() + kSupVersionAt, 2, 8);
+  store_le(sup.data() + kSupCrcAt,
+           fingerprint(std::span<const std::byte>(sup.data(), kSupCrcAt)), 8);
+  nvm.store(0, sup);
+  nvm.persist(0, sup.size());
+  EXPECT_THROW(NvLogTier::recover(nvm, small_cfg()), ContractViolation);
+
+  // A reformat cannot read the v2 format nonce, so the nonce restarts at 1.
+  NvLogTier::format(nvm, small_cfg());
+  nvm.load(0, sup);
+  LogSuperblock sb;
+  ASSERT_TRUE(decode_superblock(sup, &sb));
+  EXPECT_EQ(sb.format_nonce, 1u);
 }
 
 TEST(NvLogTier, WatermarkRingRotatesAndRecoveryMountsHighestEpoch) {

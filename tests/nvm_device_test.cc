@@ -85,6 +85,27 @@ TEST(NvmDevice, DirtyLineAccountingIsExact) {
   EXPECT_EQ(f.dev.dirty_lines(), 2u);
   f.dev.persist(64, 128);
   EXPECT_EQ(f.dev.dirty_lines(), 0u);
+
+  // An unaligned multi-line store over lines that are already dirty counts
+  // only the lines it newly dirties.
+  f.dev.store(64, std::vector<std::byte>(128));     // lines 1..2
+  f.dev.store(100, std::vector<std::byte>(200));    // lines 1..4
+  EXPECT_EQ(f.dev.dirty_lines(), 4u);
+
+  // A view at a non-zero base dirties (and cleans) the root's lines and
+  // reports the root-wide count.
+  sim::SimClock view_clock;
+  NvmDevice view(f.dev, 8192, 4096, view_clock);
+  view.store(10, std::vector<std::byte>(120));      // root lines 128..130
+  view.store(0, std::vector<std::byte>(64));        // line 128 again
+  EXPECT_EQ(f.dev.dirty_lines(), 7u);
+  EXPECT_EQ(view.dirty_lines(), 7u);
+  view.clflush(0, 4096);
+  EXPECT_EQ(f.dev.dirty_lines(), 4u);
+  EXPECT_EQ(f.dev.wear(8192, 4096).total_line_writes, 3u);
+  EXPECT_EQ(view.wear(0, 4096).total_line_writes, 3u);
+  f.dev.persist(0, 8192);
+  EXPECT_EQ(f.dev.dirty_lines(), 0u);
 }
 
 TEST(NvmDevice, ClflushCountsPerLine) {
@@ -116,6 +137,22 @@ TEST(NvmDevice, FlushOfCleanLineCostsOnlyInstruction) {
   const sim::Ns before = f.clock.now();
   f.dev.clflush(0, 1);  // clean now
   EXPECT_EQ(f.clock.now() - before, pcm_profile().clflush_ns);
+
+  // One flush over k = 3 dirty lines and m = 5 clean ones (lines 64..71)
+  // charges each line its own price; a dirty line outside stays dirty.
+  f.dev.store(4096, bytes({1}));          // line 64
+  f.dev.store(4096 + 130, bytes({2}));    // line 66
+  f.dev.store(4096 + 448, bytes({3}));    // line 71
+  f.dev.store(8192, bytes({4}));          // line 128, outside the range
+  const sim::Ns t0 = f.clock.now();
+  const std::uint64_t flushes0 = f.dev.stats().clflush;
+  const std::uint64_t wear0 = f.dev.wear().total_line_writes;
+  f.dev.clflush(4096, 512);
+  EXPECT_EQ(f.clock.now() - t0, 3 * pcm_profile().line_flush_cost() +
+                                    5 * pcm_profile().clflush_ns);
+  EXPECT_EQ(f.dev.stats().clflush - flushes0, 8u);
+  EXPECT_EQ(f.dev.wear().total_line_writes - wear0, 3u);
+  EXPECT_EQ(f.dev.dirty_lines(), 1u);
 }
 
 TEST(NvmDevice, Atomic8RequiresAlignment) {
@@ -189,6 +226,20 @@ TEST(NvmDevice, OutOfRangeAccessesThrow) {
   EXPECT_THROW(f.dev.store(kDev - 8, buf), ContractViolation);
   EXPECT_THROW(f.dev.load(kDev, buf), ContractViolation);
   EXPECT_THROW(f.dev.clflush(kDev - 1, 2), ContractViolation);
+}
+
+TEST(NvmDevice, EmptyStoreIsRejected) {
+  // A zero-byte store at offset 0 would compute its last line as
+  // (0 + 0 - 1) / 64 and walk the dirty map far out of bounds.
+  Fixture f;
+  EXPECT_THROW(f.dev.store(0, {}), ContractViolation);
+  EXPECT_THROW(f.dev.store(100, {}), ContractViolation);
+  sim::SimClock view_clock;
+  NvmDevice view(f.dev, 0, 4096, view_clock);
+  EXPECT_THROW(view.store(0, {}), ContractViolation);
+  EXPECT_EQ(f.dev.dirty_lines(), 0u);
+  EXPECT_EQ(f.dev.stats().stores, 0u);
+  EXPECT_EQ(f.clock.now(), 0u);
 }
 
 TEST(NvmDevice, WearCountsMediaWritesOnly) {

@@ -225,6 +225,21 @@ TEST(TincaCache, RecoverRejectsForeignMedia) {
                ContractViolation);
 }
 
+TEST(TincaCache, RecoverRejectsLayoutVersion3) {
+  // v3 images seal FNV-1a block fingerprints in their ring records; under
+  // v4's XXH64 check every committed batch would read as torn and be
+  // revoked, so the mount must refuse the image instead.
+  Fixture f;
+  auto txn = f.cache->tinca_init_txn();
+  txn.add(1, f.block(1));
+  f.cache->tinca_commit(txn);
+  f.cache.reset();
+  EXPECT_EQ(Layout::kVersion, 4u);
+  f.dev.atomic_store8(Layout::kVersionOff, 3);
+  f.dev.persist(Layout::kVersionOff, 8);
+  EXPECT_THROW(TincaCache::recover(f.dev, f.disk, f.cfg), ContractViolation);
+}
+
 TEST(TincaCache, RoleSwitchCountMatchesBlocks) {
   Fixture f;
   auto txn = f.cache->tinca_init_txn();
