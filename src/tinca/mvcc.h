@@ -30,6 +30,11 @@
 // reclaimer's registry scan sees the pin (and keeps everything epoch e may
 // need), or the reader's re-load sees a newer epoch and retries with it.  A
 // full registry fails the pin; callers fall back to the locked read path.
+// Scans cover only the slots below `pin_hwm_`, one past the highest slot
+// ever claimed: a reader raises it after its claim and before its
+// handshake, so a scan that stops below the reader's slot read the bound
+// before the reader loaded any epoch — the reader pins at or above that
+// scan's epoch, exactly as if it had claimed the slot after the scan.
 //
 // Reclamation (single writer, piggybacked on the cleaner quantum and on
 // commits) trims a chain suffix v_i, v_{i-1}, ... when min_pin >= e_{i+1}:
@@ -139,7 +144,13 @@ class MvccTable {
       if (!pins_[s].compare_exchange_strong(expect, kClaiming,
                                             std::memory_order_seq_cst))
         continue;
-      // Slot claimed; now run the epoch handshake (see file comment).
+      // Slot claimed: cover it in reclaimer scans, then run the epoch
+      // handshake (see file comment).
+      std::uint32_t hwm = pin_hwm_.load(std::memory_order_seq_cst);
+      while (hwm <= s &&
+             !pin_hwm_.compare_exchange_weak(hwm, s + 1,
+                                             std::memory_order_seq_cst)) {
+      }
       std::uint64_t e = epoch_.load(std::memory_order_seq_cst);
       for (;;) {
         pins_[s].store(e, std::memory_order_seq_cst);
@@ -296,7 +307,8 @@ class MvccTable {
   /// is pinned (the floor keeps reclamation monotone and never infinite).
   [[nodiscard]] std::uint64_t min_pin() const {
     std::uint64_t m = epoch_.load(std::memory_order_seq_cst);
-    for (std::uint32_t s = 0; s < kPinSlots; ++s) {
+    const std::uint32_t hwm = pin_hwm_.load(std::memory_order_seq_cst);
+    for (std::uint32_t s = 0; s < hwm; ++s) {
       const std::uint64_t p = pins_[s].load(std::memory_order_seq_cst);
       if (p != 0 && p != kClaiming && p < m) m = p;
     }
@@ -305,7 +317,8 @@ class MvccTable {
 
   /// Whether any registry slot is currently pinned (or mid-claim).
   [[nodiscard]] bool any_pin() const {
-    for (std::uint32_t s = 0; s < kPinSlots; ++s)
+    const std::uint32_t hwm = pin_hwm_.load(std::memory_order_seq_cst);
+    for (std::uint32_t s = 0; s < hwm; ++s)
       if (pins_[s].load(std::memory_order_seq_cst) != 0) return true;
     return false;
   }
@@ -315,6 +328,7 @@ class MvccTable {
   /// blocks are appended to `freed_nvm_blocks` for the cache to return to
   /// its free monitor.
   void reclaim(std::vector<std::uint32_t>& freed_nvm_blocks) {
+    if (multi_nodes_.empty() && retired_.empty()) return;
     const std::uint64_t floor = min_pin();
 
     // Suffix-trim multi-version chains: rec v_i (with newer neighbour
@@ -366,6 +380,10 @@ class MvccTable {
 
   [[nodiscard]] std::uint64_t live_versions() const { return live_versions_; }
   [[nodiscard]] std::uint64_t retired_nodes() const { return retired_.size(); }
+  /// Registry scan bound: one past the highest slot any pin() has claimed.
+  [[nodiscard]] std::uint32_t pin_scan_bound() const {
+    return pin_hwm_.load(std::memory_order_seq_cst);
+  }
 
   /// Mutable: reader-side paths (const) bump these relaxed counters.
   mutable MvccStats stats;
@@ -506,6 +524,9 @@ class MvccTable {
   std::uint64_t mask_ = 0;
   std::atomic<std::uint64_t> epoch_{1};
   std::atomic<std::uint64_t> pins_[kPinSlots]{};
+  /// One past the highest slot pin() ever claimed; only grows.  A slot at or
+  /// above it has never held an epoch, so scans stop there.
+  std::atomic<std::uint32_t> pin_hwm_{0};
   std::vector<BlockNode*> multi_nodes_;  ///< nodes with >= 2 versions
   std::vector<Retired> retired_;
   std::uint64_t live_versions_ = 0;

@@ -38,6 +38,7 @@ TincaCache::TincaCache(nvm::NvmDevice& nvm, blockdev::BlockDevice& disk,
       cfg_(cfg),
       layout_(Layout::compute(nvm.size(), cfg.ring_bytes, cfg.num_streams)),
       mirror_(layout_.num_blocks),
+      index_(layout_.num_blocks),
       lru_(static_cast<std::uint32_t>(layout_.num_blocks)),
       free_entries_(static_cast<std::uint32_t>(layout_.num_blocks)),
       free_blocks_(static_cast<std::uint32_t>(layout_.num_blocks),
@@ -183,9 +184,9 @@ std::uint64_t TincaCache::block_fp(std::uint32_t nvm_block) const {
 // fingerprint.
 bool TincaCache::record_placed(const RingRecord& r) const {
   if (r.curr_nvm >= layout_.num_blocks) return false;
-  const auto it = index_.find(r.disk_blkno);
-  if (it == index_.end()) return false;
-  const CacheEntry& e = mirror_[it->second];
+  const std::uint32_t slot = index_.find(r.disk_blkno);
+  if (slot == BlockIndex::kNone) return false;
+  const CacheEntry& e = mirror_[slot];
   const bool entry_ok = e.curr_nvm == r.curr_nvm ||
                         (e.role == Role::kLog && e.prev_nvm == r.curr_nvm);
   return entry_ok && block_fp(r.curr_nvm) == r.payload_fp;
@@ -300,9 +301,8 @@ void TincaCache::recovery_apply(
   for (const RecoveredBatch& b : st->batches) {
     for (const RingRecord& r : b.records) {
       if (r.curr_nvm >= layout_.num_blocks) continue;
-      const auto it = index_.find(r.disk_blkno);
-      if (it == index_.end()) continue;
-      const std::uint32_t slot = it->second;
+      const std::uint32_t slot = index_.find(r.disk_blkno);
+      if (slot == BlockIndex::kNone) continue;
       CacheEntry e = mirror_[slot];
       if (!e.valid || e.role != Role::kLog || e.curr_nvm != r.curr_nvm)
         continue;
@@ -321,11 +321,11 @@ void TincaCache::recovery_apply(
   for (const std::vector<RingRecord>& run : st->runs) {
     for (const RingRecord& r : run) {
       if (r.kind != RingRecord::Kind::kBlock) continue;
-      const auto it = index_.find(r.disk_blkno);
-      if (it == index_.end()) continue;
-      const CacheEntry& e = mirror_[it->second];
+      const std::uint32_t slot = index_.find(r.disk_blkno);
+      if (slot == BlockIndex::kNone) continue;
+      const CacheEntry& e = mirror_[slot];
       if (e.valid && e.role == Role::kLog && e.curr_nvm == r.curr_nvm)
-        revoke_slot(it->second);
+        revoke_slot(slot);
     }
   }
 
@@ -380,7 +380,7 @@ void TincaCache::recovery_apply(
     TINCA_ENSURE(e.curr_nvm < layout_.num_blocks, "entry points beyond data area");
     TINCA_ENSURE(!block_used[e.curr_nvm], "two entries share an NVM block");
     block_used[e.curr_nvm] = true;
-    const bool fresh = index_.emplace(e.disk_blkno, slot).second;
+    const bool fresh = index_.emplace(e.disk_blkno, slot);
     TINCA_ENSURE(fresh, "duplicate disk block in entry table");
     lru_.push_mru(slot);
     ++stats_.recovered_entries;
@@ -697,9 +697,8 @@ void TincaCache::clean_to_threshold() {
 // entries, and the block is simply cleaned again (write-back is idempotent).
 cleaner::CleanOutcome TincaCache::cleaner_clean(std::uint64_t key,
                                                 std::uint64_t* io_retries) {
-  auto it = index_.find(key);
-  if (it == index_.end()) return cleaner::CleanOutcome::kStale;
-  const std::uint32_t slot = it->second;
+  const std::uint32_t slot = index_.find(key);
+  if (slot == BlockIndex::kNone) return cleaner::CleanOutcome::kStale;
   CacheEntry e = mirror_[slot];
   if (!e.valid || !e.modified) return cleaner::CleanOutcome::kStale;
   if (e.role == Role::kLog) return cleaner::CleanOutcome::kPinned;
@@ -759,10 +758,15 @@ void TincaCache::cleaner_collect(std::uint32_t max,
 void TincaCache::assert_dirty_count() const {
 #ifndef NDEBUG
   std::uint64_t scan = 0;
-  for (auto [blkno, slot] : index_)
+  index_.for_each([&](std::uint64_t, std::uint32_t slot) {
     if (mirror_[slot].modified) ++scan;
+  });
   TINCA_ENSURE(scan == dirty_count_,
                "incremental dirty counter diverged from the entry table");
+  const auto valid = std::count_if(mirror_.begin(), mirror_.end(),
+                                   [](const CacheEntry& e) { return e.valid; });
+  TINCA_ENSURE(index_.size() == static_cast<std::uint64_t>(valid),
+               "block index size diverged from the valid entries");
 #endif
 }
 
@@ -806,20 +810,19 @@ void TincaCache::stage_block_install(std::uint64_t disk_blkno,
   // (everything else pinned by the committing batch), it cleanly degrades to
   // a write miss — its last committed contents are on disk, so rollback
   // stays correct.
-  auto it = index_.find(disk_blkno);
-  if (it != index_.end()) {
-    lru_.touch(it->second);
+  std::uint32_t slot = index_.find(disk_blkno);
+  if (slot != BlockIndex::kNone) {
+    lru_.touch(slot);
     ensure_free(0, 1);
-    it = index_.find(disk_blkno);
+    slot = index_.find(disk_blkno);
   }
-  if (it == index_.end()) ensure_free(1, 1);
+  if (slot == BlockIndex::kNone) ensure_free(1, 1);
 
   std::uint32_t nb = 0;
   {
     TINCA_TRACE_SPAN(trace_, ts_cow_);
-    if (it != index_.end()) {
+    if (slot != BlockIndex::kNone) {
       // Write hit: COW block write (§4.3), staged.
-      const std::uint32_t slot = it->second;
       ++stats_.write_hits;
       ++stats_.cow_writes;
       // First COW over a chainless entry (a clean read fill): publish its
@@ -846,7 +849,7 @@ void TincaCache::stage_block_install(std::uint64_t disk_blkno,
     } else {
       // Write miss: create a new entry whose previous version is FRESH.
       ++stats_.write_misses;
-      const std::uint32_t slot = free_entries_.take();
+      slot = free_entries_.take();
       nb = free_blocks_.take();
       write_data_block_staged(nb, data);
       nvm_.injector.point();  // CP: data staged, entry absent
@@ -877,9 +880,9 @@ void TincaCache::stage_block_install(std::uint64_t disk_blkno,
 void TincaCache::publish_switches(const std::vector<std::uint64_t>& blocks) {
   TINCA_TRACE_SPAN(trace_, ts_role_switch_);
   for (std::uint64_t blkno : blocks) {
-    auto it = index_.find(blkno);
-    TINCA_ENSURE(it != index_.end(), "committed block vanished before switch");
-    const std::uint32_t slot = it->second;
+    const std::uint32_t slot = index_.find(blkno);
+    TINCA_ENSURE(slot != BlockIndex::kNone,
+                 "committed block vanished before switch");
     CacheEntry e = mirror_[slot];
     TINCA_ENSURE(e.role == Role::kLog, "role switch on a buffer block");
     e.role = Role::kBuffer;
@@ -1112,9 +1115,8 @@ void TincaCache::read_block(std::uint64_t disk_blkno, std::span<std::byte> dst) 
   TINCA_TRACE_SPAN(trace_, ts_read_);
   TINCA_EXPECT(dst.size() == kBlockSize, "reads are whole 4 KB blocks");
   nvm_.clock().advance(cfg_.cpu_op_ns);
-  auto it = index_.find(disk_blkno);
-  if (it != index_.end()) {
-    const std::uint32_t slot = it->second;
+  if (const std::uint32_t slot = index_.find(disk_blkno);
+      slot != BlockIndex::kNone) {
     nvm_.load(layout_.data_block_off(mirror_[slot].curr_nvm), dst);
     lru_.touch(slot);
     ++stats_.read_hits;
@@ -1155,8 +1157,9 @@ void TincaCache::write_block(std::uint64_t disk_blkno,
 void TincaCache::flush_dirty() {
   // Write back in ascending disk order: sequential on HDD, harmless on SSD.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> dirty;
-  for (auto [blkno, slot] : index_)
+  index_.for_each([&](std::uint64_t blkno, std::uint32_t slot) {
     if (mirror_[slot].modified) dirty.emplace_back(blkno, slot);
+  });
   std::sort(dirty.begin(), dirty.end());
   for (auto [blkno, slot] : dirty) {
     if (!writeback(slot)) continue;  // stays dirty; retried on the next flush
@@ -1232,8 +1235,22 @@ bool TincaCache::mvcc_defer_disk_write(std::uint64_t disk_blkno) const {
   // oldest version — only then is the current disk content that reader's
   // single remaining copy.  Chains anchored by an epoch-1 baseline cover
   // every possible pin, so they never defer.
+  //
+  // Fast path: with no pin below the current epoch nothing can sit below a
+  // chain, because no version outruns epoch() whenever a disk write can run
+  // — a batch's versions are published at epoch()+1 and bumped in the same
+  // batch_publish before any writeback, and baselines land at epoch 1 or at
+  // a retired head's epoch.  So the chain walk is needed only under a pin.
+  const std::uint64_t floor = mvcc_.min_pin();
+  if (floor == mvcc_.epoch()) {
+#ifndef NDEBUG
+    TINCA_ENSURE(mvcc_.oldest_live_epoch(disk_blkno) <= floor,
+                 "a chain's oldest version runs ahead of the commit epoch");
+#endif
+    return false;
+  }
   const std::uint64_t oldest = mvcc_.oldest_live_epoch(disk_blkno);
-  return oldest > 1 && mvcc_.min_pin() < oldest;
+  return oldest > 1 && floor < oldest;
 }
 
 void TincaCache::mvcc_reclaim() {
@@ -1286,14 +1303,14 @@ bool TincaCache::cached(std::uint64_t disk_blkno) const {
 }
 
 bool TincaCache::dirty(std::uint64_t disk_blkno) const {
-  auto it = index_.find(disk_blkno);
-  return it != index_.end() && mirror_[it->second].modified;
+  const std::uint32_t slot = index_.find(disk_blkno);
+  return slot != BlockIndex::kNone && mirror_[slot].modified;
 }
 
 CacheEntry TincaCache::entry_for(std::uint64_t disk_blkno) const {
-  auto it = index_.find(disk_blkno);
-  TINCA_EXPECT(it != index_.end(), "entry_for on an uncached block");
-  return mirror_[it->second];
+  const std::uint32_t slot = index_.find(disk_blkno);
+  TINCA_EXPECT(slot != BlockIndex::kNone, "entry_for on an uncached block");
+  return mirror_[slot];
 }
 
 void TincaCache::register_metrics(obs::MetricsRegistry& reg,

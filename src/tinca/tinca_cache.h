@@ -46,6 +46,7 @@
 #include "common/histogram.h"
 #include "nvm/nvm_device.h"
 #include "obs/trace.h"
+#include "tinca/block_index.h"
 #include "tinca/cache_entry.h"
 #include "tinca/layout.h"
 #include "tinca/mvcc.h"
@@ -554,7 +555,7 @@ class TincaCache : private cleaner::CleanerClient {
   std::vector<RingBuffer> rings_;  ///< one per commit stream (§15)
 
   std::vector<CacheEntry> mirror_;                       ///< DRAM copy of entries
-  std::unordered_map<std::uint64_t, std::uint32_t> index_;  ///< disk blk → slot
+  BlockIndex index_;                                     ///< disk blk → slot
   SlotLru lru_;
   FreeMonitor free_entries_;
   FreeMonitor free_blocks_;

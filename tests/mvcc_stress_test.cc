@@ -10,6 +10,11 @@
 // committed round — any torn or recycled-mid-copy block surfaces as an
 // unknown fingerprint.
 //
+// A second shape parks 64 registry slots on a helper thread, so the readers
+// pin in slots >= 64, while the writer also evicts: each round adds a cold
+// write and a burst of read misses, so retired chains are unlinked and freed
+// under the readers' bucket walks and every reclaim scans to their slots.
+//
 // Failures are collected into shared state and asserted on the main thread
 // (gtest assertions are not thread-safe off the main thread).  The NVM
 // device is sized to hold every version the run can publish, so reclamation
@@ -70,19 +75,55 @@ struct Violations {
   }
 };
 
-TEST(MvccStress, SnapshotsSeeCommitBoundariesUnderConcurrentReaders) {
+/// Who else pins, and whether the writer also evicts.
+struct StressShape {
+  int parked_pins = 0;  ///< registry slots held by a parker thread
+  /// Per round, one cold write-miss plus kFillReads read misses on an 8 MB
+  /// cache.  8 MB still holds every version a stalled floor could retain
+  /// (8 group blocks plus the cold block per round), so the read misses
+  /// always find a clean victim: eviction pressure without a wedge.
+  bool evict = false;
+};
+constexpr std::uint64_t kFillReads = 24;
+
+void run_snapshot_stress(const StressShape& shape) {
   sim::SimClock clock;
-  nvm::NvmDevice dev(kNvmBytes, nvdimm_profile(), clock);
+  nvm::NvmDevice dev(shape.evict ? std::size_t{8} << 20 : kNvmBytes,
+                     nvdimm_profile(), clock);
   blockdev::MemBlockDevice disk(1 << 14);
   ShardedConfig cfg;
   cfg.num_shards = 1;  // one shard: the snapshot boundary spans all blocks
   cfg.shard.ring_bytes = 64 << 10;
   auto sharded = ShardedTinca::format(dev, disk, cfg);
+  core::TincaCache& cache = sharded->shard_cache(0);
 
   const auto round_of = make_round_table();
   Violations bad;
   std::atomic<bool> done{false};
   std::atomic<std::uint64_t> snapshots_taken{0};
+
+  // The parker claims the lowest slots before any reader starts, then keeps
+  // re-taking each one in turn so its epochs (and the floor) move forward:
+  // the readers' pins in the slots above are then what holds the floor.
+  std::atomic<bool> parked{false};
+  std::thread parker;
+  if (shape.parked_pins > 0) {
+    parker = std::thread([&] {
+      std::vector<core::SnapshotPin> pins;
+      for (int i = 0; i < shape.parked_pins; ++i)
+        pins.push_back(cache.snapshot_pin());
+      parked.store(true, std::memory_order_release);
+      while (!done.load(std::memory_order_acquire)) {
+        for (core::SnapshotPin& p : pins) {
+          cache.snapshot_unpin(p);
+          p = cache.snapshot_pin();
+        }
+        std::this_thread::yield();
+      }
+      for (const core::SnapshotPin& p : pins) cache.snapshot_unpin(p);
+    });
+    while (!parked.load(std::memory_order_acquire)) std::this_thread::yield();
+  }
 
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
@@ -142,18 +183,33 @@ TEST(MvccStress, SnapshotsSeeCommitBoundariesUnderConcurrentReaders) {
     });
   }
 
-  // The single writer: kGroupBlocks-wide transactions, one round each.
+  // The single writer: kGroupBlocks-wide transactions, one round each, plus
+  // the shape's eviction traffic on blocks the readers never touch.
+  std::vector<std::byte> fill(kBlockSize);
   for (std::uint64_t r = 1; r <= kRounds; ++r) {
     ShardedTxn txn = sharded->init_txn();
     const auto data = block_of(r);
     for (std::uint64_t b = 0; b < kGroupBlocks; ++b) txn.add(b, data);
     sharded->commit(txn);
+    if (!shape.evict) continue;
+    sharded->write_block(kGroupBlocks + r, data);
+    for (std::uint64_t i = 0; i < kFillReads; ++i)
+      sharded->read_block(1024 + r * kFillReads + i, fill);
   }
   done.store(true, std::memory_order_release);
   for (std::thread& t : readers) t.join();
+  if (parker.joinable()) parker.join();
 
   ASSERT_EQ(bad.count.load(), 0u) << bad.first;
   EXPECT_GE(snapshots_taken.load(), 50u);
+  if (shape.parked_pins > 0) {
+    EXPECT_GT(cache.mvcc().pin_scan_bound(),
+              static_cast<std::uint32_t>(shape.parked_pins))
+        << "no pin ever landed above the parked slots";
+  }
+  if (shape.evict) {
+    EXPECT_GT(cache.stats().evictions, 0u);
+  }
 
   // Quiesced: a final snapshot must read the last round everywhere.
   ShardedSnapshot snap = sharded->open_snapshot();
@@ -163,6 +219,14 @@ TEST(MvccStress, SnapshotsSeeCommitBoundariesUnderConcurrentReaders) {
     EXPECT_EQ(fingerprint(buf), fingerprint(block_of(kRounds))) << "blk " << b;
   }
   sharded->close_snapshot(snap);
+}
+
+TEST(MvccStress, SnapshotsSeeCommitBoundariesUnderConcurrentReaders) {
+  run_snapshot_stress(StressShape{});
+}
+
+TEST(MvccStress, ReadersInHighRegistrySlotsUnderEvictionAndReclaim) {
+  run_snapshot_stress(StressShape{.parked_pins = 64, .evict = true});
 }
 
 TEST(ShardedSnapshotRaii, AbandonedSnapshotReleasesItsPins) {

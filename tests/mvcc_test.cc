@@ -230,6 +230,53 @@ TEST(MvccTable, ReFillBaselineLandsAtTheRetiredHeadEpoch) {
   EXPECT_EQ(t.resolve(7, t.epoch())->nvm_block, 43u);
 }
 
+TEST(MvccTable, LivePinAboveFreedLowSlotsHoldsTheFloor) {
+  // Registry scans stop at one past the highest slot ever claimed — not at
+  // the number of live pins: a pin left in slot 7 after slots 0-6 were
+  // released must still hold the reclamation floor.
+  MvccTable t(64);
+  t.publish(7, 10);
+  t.publish(9, 20);
+  t.bump();  // both blocks at epoch 2
+  std::vector<SnapshotPin> pins;
+  for (int i = 0; i < 8; ++i) pins.push_back(t.pin());
+  EXPECT_EQ(t.pin_scan_bound(), 8u);
+  for (int i = 0; i < 7; ++i) t.unpin(pins[i]);
+  const SnapshotPin old = pins[7];
+  ASSERT_EQ(old.slot, 7u);
+  ASSERT_EQ(old.epoch, 2u);
+
+  t.publish(7, 11);
+  t.publish(9, 21);
+  t.bump();  // epoch 3
+  t.publish(7, 12);
+  t.bump();  // epoch 4
+  t.retire(9);
+
+  std::vector<std::uint32_t> freed;
+  t.reclaim(freed);
+  EXPECT_TRUE(t.any_pin());
+  EXPECT_EQ(t.min_pin(), 2u);
+  EXPECT_TRUE(freed.empty()) << "reclaim ignored the pin in slot 7";
+  EXPECT_EQ(t.live_versions(), 5u);
+  EXPECT_EQ(t.retired_nodes(), 1u);
+  ASSERT_NE(t.resolve(7, old.epoch), nullptr);
+  EXPECT_EQ(t.resolve(7, old.epoch)->nvm_block, 10u);
+  ASSERT_NE(t.resolve(9, old.epoch), nullptr);
+  EXPECT_EQ(t.resolve(9, old.epoch)->nvm_block, 20u);
+
+  t.unpin(old);
+  EXPECT_FALSE(t.any_pin());
+  EXPECT_EQ(t.pin_scan_bound(), 8u) << "the scan bound only grows";
+  t.reclaim(freed);
+  // Block 7 trims to its head, block 9's retired chain is freed whole.
+  std::sort(freed.begin(), freed.end());
+  EXPECT_EQ(freed, (std::vector<std::uint32_t>{10, 11, 20, 21}));
+  EXPECT_EQ(t.retired_nodes(), 0u);
+  EXPECT_EQ(t.live_versions(), 1u);
+  EXPECT_EQ(t.resolve(7, t.epoch())->nvm_block, 12u);
+}
+
 TEST(MvccTable, PinRegistryExhaustionFailsTheExtraPin) {
   MvccTable t(16);
   std::vector<SnapshotPin> pins;
