@@ -56,12 +56,8 @@ ShardedTinca::ShardedTinca(nvm::NvmDevice& nvm, blockdev::BlockDevice& disk,
                        std::max(1u, cfg.shard.num_streams) <=
                    64,
                "shards × streams must fit the 64-bit commit-record mask");
-  // Equal 4 KB-aligned partitions; the tail remainder (< one partition) is
-  // left unused.  Geometry is a pure function of (device size, num_shards),
-  // so recovery reconstructs identical views without any extra metadata —
-  // each shard's own superblock then validates its layout.
-  const std::uint64_t part =
-      nvm.size() / cfg.num_shards / core::kBlockSize * core::kBlockSize;
+  // Each shard's own superblock then validates its partition's layout.
+  const std::uint64_t part = partition_bytes(nvm.size(), cfg.num_shards);
   TINCA_EXPECT(part > 0, "NVM device too small for this many shards");
 
   // Shared pacing budget: one Pacer for all shards' cleaners, each step

@@ -182,6 +182,16 @@ class ShardedTinca {
   /// Stops any running cleaner threads before the shards go away.
   ~ShardedTinca();
 
+  /// Bytes of each shard's partition on a `device_bytes` device: equal 4 KB-
+  /// aligned partitions, shard s at offset s × this, the tail remainder
+  /// (< one partition) unused.  A pure function of (device size, shard
+  /// count), so recovery and offline media checks reconstruct the geometry
+  /// without any extra metadata.
+  static std::uint64_t partition_bytes(std::uint64_t device_bytes,
+                                       std::uint32_t num_shards) {
+    return device_bytes / num_shards / core::kBlockSize * core::kBlockSize;
+  }
+
   // --- Background cleaners (DESIGN.md §11) ---------------------------------
   //
   // With cfg.shard.cleaner.mode != kDisabled, every shard owns a private
