@@ -292,14 +292,24 @@ void TincaCache::recovery_apply(
 
   // 5. Roll committed batches forward: a log-role entry still holding a
   //    committed record's block is a role switch the crash beat to the
-  //    media — flip it to buffer.  The stored-fingerprint check screens out
-  //    the one confusable state: the entry's slot recycled by an in-flight
-  //    install into a reused NVM block (whose staged data cannot match the
-  //    committed record's fingerprint, as committed data was fenced and its
-  //    block never rewritten while referenced).  Cross-stream order is
-  //    irrelevant: only the newest install of a block matches the entry.
+  //    media — flip it to buffer.  Only a disk block's NEWEST record may:
+  //    once a newer batch superseded an older copy, reclaim freed the older
+  //    NVM block, and the in-flight batch may COW the block straight back
+  //    into it; a cut that keeps that entry line but loses the few changed
+  //    data lines leaves it over bytes matching the OLDER record.  The
+  //    fingerprint check screens out an install into any other reused block
+  //    (committed data was fenced, and never rewritten while referenced).
+  std::unordered_map<std::uint64_t, std::pair<std::uint32_t, const RingRecord*>>
+      newest_record;  // disk block → (batch seq, record)
   for (const RecoveredBatch& b : st->batches) {
     for (const RingRecord& r : b.records) {
+      auto [it, fresh] = newest_record.try_emplace(r.disk_blkno, b.seq, &r);
+      if (!fresh && it->second.first <= b.seq) it->second = {b.seq, &r};
+    }
+  }
+  for (const RecoveredBatch& b : st->batches) {
+    for (const RingRecord& r : b.records) {
+      if (newest_record.at(r.disk_blkno).second != &r) continue;
       if (r.curr_nvm >= layout_.num_blocks) continue;
       const std::uint32_t slot = index_.find(r.disk_blkno);
       if (slot == BlockIndex::kNone) continue;

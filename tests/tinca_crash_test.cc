@@ -310,6 +310,82 @@ TEST(TincaCrash, WriteMissAbortedMidCommitIsDiscardedWholly) {
   }
 }
 
+TEST(TincaCrash, RollForwardIgnoresSupersededRecords) {
+  // Recovery's scan window holds the last two committed batches (a batch's
+  // new hint rides the next batch's flush pass).  Commit B = v200, then
+  // B = v300: reclaim frees v200's NVM block, and the LIFO pool hands it to
+  // the next commit {B = v200's bytes, C}, which copies B on write straight
+  // back into it.  A cut that keeps that staged entry line but loses the
+  // hint leaves a log-role entry over a block whose bytes match the v200
+  // record — which is not B's newest.  Rolling it forward revives B from
+  // the in-flight transaction without C.  Sweep every cut point under 16
+  // line-survival lotteries: B and C must come back both old or both new.
+  constexpr std::uint64_t kB = 5;
+  constexpr std::uint64_t kC = 9;
+  const auto version = [](std::uint64_t v) {
+    std::vector<std::byte> b(kBlockSize, std::byte{0});
+    std::fill_n(b.begin(), 64, static_cast<std::byte>(v));  // one line
+    return b;
+  };
+  const auto commit = [&](TincaCache& cache,
+                          std::initializer_list<std::pair<std::uint64_t,
+                                                          std::uint64_t>> w) {
+    auto txn = cache.tinca_init_txn();
+    for (const auto& [blkno, v] : w) txn.add(blkno, version(v));
+    cache.tinca_commit(txn);
+    cache.mvcc_reclaim();
+  };
+  // Runs the history on a fresh device, cutting power at `crash_step` of
+  // the last commit (0 = never); returns whether it crashed.
+  const auto run = [&](nvm::NvmDevice& dev, blockdev::MemBlockDevice& disk,
+                       std::uint64_t crash_step) {
+    auto cache =
+        TincaCache::format(dev, disk, TincaConfig{.ring_bytes = kRing});
+    for (const std::uint64_t v : {100, 200, 300}) commit(*cache, {{kB, v}});
+    dev.injector.disarm();
+    if (crash_step != 0) dev.injector.arm(crash_step);
+    try {
+      commit(*cache, {{kB, 200}, {kC, 1}});
+    } catch (const nvm::CrashException&) {
+      return true;
+    }
+    return false;
+  };
+
+  std::uint64_t steps = 0;
+  {
+    sim::SimClock clock;
+    nvm::NvmDevice dev(kNvmBytes, nvdimm_profile(), clock);
+    blockdev::MemBlockDevice disk(1 << 16);
+    ASSERT_FALSE(run(dev, disk, 0));
+    steps = dev.injector.steps_seen();
+  }
+  ASSERT_GT(steps, 10u);
+
+  const std::vector<std::byte> zero(kBlockSize, std::byte{0});
+  for (std::uint64_t lottery = 1; lottery <= 16; ++lottery) {
+    for (std::uint64_t step = 1; step <= steps; ++step) {
+      sim::SimClock clock;
+      nvm::NvmDevice dev(kNvmBytes, nvdimm_profile(), clock);
+      blockdev::MemBlockDevice disk(1 << 16);
+      ASSERT_TRUE(run(dev, disk, step)) << "step " << step;
+      Rng rng(lottery);
+      dev.crash(rng, 0.5);
+      auto recovered =
+          TincaCache::recover(dev, disk, TincaConfig{.ring_bytes = kRing});
+      std::vector<std::byte> b(kBlockSize);
+      std::vector<std::byte> c(kBlockSize);
+      recovered->read_block(kB, b);
+      recovered->read_block(kC, c);
+      const bool before = b == version(300) && c == zero;
+      const bool after = b == version(200) && c == version(1);
+      EXPECT_TRUE(before || after)
+          << "half of the in-flight transaction survived: step " << step
+          << ", lottery Rng(" << lottery << ")";
+    }
+  }
+}
+
 TEST(TincaCrash, KillBeforeAnyCommitIsHarmless) {
   sim::SimClock clock;
   nvm::NvmDevice dev(kNvmBytes, nvdimm_profile(), clock);
