@@ -11,11 +11,30 @@
 #include <iostream>
 #include <string>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "backend/stack_builder.h"
 #include "common/table.h"
 #include "obs/trace.h"
 
 namespace tinca::bench {
+
+/// For the fuzz sweeps, whose thousands of schedules each allocate and free
+/// a few MB of simulated NVM: keep freed heap memory in the process.  By
+/// default glibc raises its mmap threshold to the largest mmapped block
+/// freed so far and trims the top of the heap whenever more than twice that
+/// is free there, so whether a schedule's NVM images go back to the kernel —
+/// and the next schedule page-faults them in again — depends on what happens
+/// to sit above them in the heap: the run's allocation history, not its
+/// work.  Fixed thresholds make every schedule reuse the same pages.
+inline void keep_heap_resident() {
+#if defined(__GLIBC__)
+  mallopt(M_MMAP_THRESHOLD, 32 << 20);  // glibc's cap for this threshold
+  mallopt(M_TRIM_THRESHOLD, 256 << 20);
+#endif
+}
 
 /// Scaled default geometry: the paper used an 8 GB NVM cache over a 128 GB
 /// SSD with 20–32 GB datasets; we keep the same proportions at 1/128 scale.
