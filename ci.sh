@@ -59,12 +59,13 @@ echo "tsan stage: OK (mvcc stress + shard + cleaner + group-commit +" \
 # Bench smoke: Release build, run two benches with --json and validate the
 # machine-readable output against the tinca-bench-v1 schema.  Release because
 # the JSON contract must hold in the configuration people actually benchmark,
-# and because it keeps this stage fast.
+# and because it keeps this stage fast.  -Werror here too: some warnings
+# (e.g. GCC's -Wrestrict) fire only at -O3.
 BENCH_DIR=${BENCH_DIR:-build-ci-bench}
 JSON_OUT=$(mktemp -d)
 trap 'rm -rf "$JSON_OUT"' EXIT
 
-cmake -B "$BENCH_DIR" -S . -DCMAKE_BUILD_TYPE=Release
+cmake -B "$BENCH_DIR" -S . -DCMAKE_BUILD_TYPE=Release -DTINCA_WERROR=ON
 cmake --build "$BENCH_DIR" -j "$(nproc)" \
   --target bench_micro_primitives bench_ablation_txn_batch bench_fault_sweep \
   bench_fs_fuzz_sweep bench_cleaner bench_mvcc_reads bench_nvlog \

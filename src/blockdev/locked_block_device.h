@@ -1,10 +1,10 @@
 // Mutex-serialized adapter over any BlockDevice.
 //
-// MemBlockDevice and LatencyBlockDevice are single-threaded by design (hash
-// map inserts, shared latency clock).  The sharded Tinca front-end drives one
-// backing disk from several committing threads at once — writebacks and read
-// misses from different shards target disjoint disk blocks, but the device's
-// internal bookkeeping still needs serialization.  This adapter provides it
+// MemBlockDevice and LatencyBlockDevice are single-threaded by design (slab
+// allocation on first writes, shared latency clock).  The sharded Tinca
+// front-end drives one backing disk from several committing threads at once
+// — writebacks and read misses from different shards target disjoint disk
+// blocks, but the device's internal bookkeeping still needs serialization.  This adapter provides it
 // at the device boundary so the inner models stay simple.
 //
 // Disk I/O is off the commit hot path in write-back mode (only evictions,

@@ -164,9 +164,8 @@ void FlashCache::note_bad_block(std::uint64_t disk_blkno) {
 bool FlashCache::writeback_slot(std::uint32_t slot) {
   const Slot& s = slots_[slot];
   if (quarantine_.contains(s.disk_blkno)) return false;
-  std::vector<std::byte> buf(kBlockSize);
-  nvm_.load(data_off(slot), buf);
-  const blockdev::IoStatus st = disk_write(s.disk_blkno, buf);
+  const blockdev::IoStatus st =
+      disk_write(s.disk_blkno, nvm_.read_view(data_off(slot), kBlockSize));
   if (st == blockdev::IoStatus::kOk) return true;
   if (st == blockdev::IoStatus::kBadSector) note_bad_block(s.disk_blkno);
   return false;

@@ -441,9 +441,10 @@ NvLogTier::DrainResult NvLogTier::drain_segment(std::uint64_t seq,
       ++superseded;
       continue;
     }
-    batch.emplace_back(r.blkno, std::vector<std::byte>(kPayloadBytes));
-    nvm_.load(segment_base(*found) + r.off + kRecHeaderBytes,
-              batch.back().second);
+    const std::span<const std::byte> payload = nvm_.read_view(
+        segment_base(*found) + r.off + kRecHeaderBytes, kPayloadBytes);
+    batch.emplace_back(r.blkno,
+                       std::vector<std::byte>(payload.begin(), payload.end()));
   }
   // Ascending runs hit the disk's sequential fast path.
   std::sort(batch.begin(), batch.end(),

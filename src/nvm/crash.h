@@ -27,17 +27,22 @@ class CrashException : public std::exception {
 /// Counts instrumented crash points and fires at an armed step.
 ///
 /// Usage: production code calls `point()` at each persistence-ordering
-/// boundary.  A disarmed injector only counts (negligible cost).  Tests first
-/// run a workload disarmed to learn the step count, then re-run once per step
-/// with `arm(step)` to crash exactly there.
+/// boundary.  A disarmed injector only counts (a plain load and store).
+/// Tests first run a workload disarmed to learn the step count, then re-run
+/// once per step with `arm(step)` to crash exactly there.
 ///
 /// Every field is atomic (relaxed) so that NVM views driven from multiple
 /// threads (the sharded front-end) can share one disarmed injector without a
 /// data race — point() reads armed_/fire_at_ on every call, concurrently
-/// with arm()/disarm() from the harness thread.  Arming is only meaningful
-/// for single-threaded sweeps, where step numbering is deterministic;
-/// relaxed ordering is enough because no other data is published through
-/// these flags.
+/// with arm()/disarm() from the harness thread.  Relaxed ordering is enough
+/// because no other data is published through these flags.
+///
+/// The counters advance with a relaxed load + store, not a locked
+/// read-modify-write: points sit on every commit path and are passed
+/// millions of times while disarmed.  Counts are therefore exact only when
+/// one thread drives the stack; concurrent drivers may lose increments.
+/// That is the only setting in which arming means anything anyway — step
+/// numbering is deterministic only in single-threaded sweeps.
 class CrashInjector {
  public:
   /// Arm the injector: the `step`-th future call to point() (1-based) throws.
@@ -55,7 +60,8 @@ class CrashInjector {
 
   /// Crash-point marker.  Throws CrashException when the armed step is hit.
   void point() {
-    const std::uint64_t n = seen_.fetch_add(1, std::memory_order_relaxed) + 1;
+    const std::uint64_t n = seen_.load(std::memory_order_relaxed) + 1;
+    seen_.store(n, std::memory_order_relaxed);
     if (armed_.load(std::memory_order_relaxed) &&
         n == fire_at_.load(std::memory_order_relaxed))
       throw CrashException();
@@ -98,8 +104,8 @@ class CrashInjector {
   /// Torn-write marker.  Returns true when the armed torn step is hit; the
   /// caller tears its in-flight write and then throws CrashException.
   [[nodiscard]] bool point_torn() {
-    const std::uint64_t n =
-        torn_seen_.fetch_add(1, std::memory_order_relaxed) + 1;
+    const std::uint64_t n = torn_seen_.load(std::memory_order_relaxed) + 1;
+    torn_seen_.store(n, std::memory_order_relaxed);
     return torn_armed_.load(std::memory_order_relaxed) &&
            n == torn_fire_at_.load(std::memory_order_relaxed);
   }

@@ -76,12 +76,18 @@ void NvmDevice::store(std::uint64_t off, std::span<const std::byte> src) {
 }
 
 void NvmDevice::load(std::uint64_t off, std::span<std::byte> dst) const {
-  TINCA_EXPECT(off + dst.size() <= span_, "load out of range");
-  std::memcpy(dst.data(), root_->volatile_.data() + base_ + off, dst.size());
-  const std::size_t lines = (dst.size() + kLineSize - 1) / kLineSize;
+  const std::span<const std::byte> src = read_view(off, dst.size());
+  std::memcpy(dst.data(), src.data(), src.size());
+}
+
+std::span<const std::byte> NvmDevice::read_view(std::uint64_t off,
+                                                std::size_t len) const {
+  TINCA_EXPECT(off + len <= span_, "load out of range");
+  const std::size_t lines = (len + kLineSize - 1) / kLineSize;
   auto& self = const_cast<NvmDevice&>(*this);
   self.stats_.lines_loaded += lines;
   self.clock_.advance(lines * profile_.line_read_cost());
+  return {root_->volatile_.data() + base_ + off, len};
 }
 
 void NvmDevice::load_nocharge(std::uint64_t off, std::span<std::byte> dst) const {

@@ -31,6 +31,11 @@
 // word (e.g. the commit-directory view and shard 0's stream-hint lines), and
 // a packed bitmap would need an atomic read-modify-write per word.
 //
+// The images (and the per-line maps) sit on 2 MB pages (common/media_alloc.h),
+// as the paper's NVDIMM sits behind the kernel's large-page direct map: every
+// store, flush and write-back touches them at random, and on 4 KB pages those
+// host copies miss the TLB.  Page size changes no modeled number.
+//
 // Latency is charged to a SimClock (see common/sim_clock.h); operation counts
 // are accumulated in NvmStats, which the benches report as the paper's
 // "normalized quantity of clflush" metric.
@@ -40,9 +45,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "common/latency.h"
+#include "common/media_alloc.h"
 #include "common/rng.h"
 #include "common/sim_clock.h"
 #include "nvm/crash.h"
@@ -125,6 +130,14 @@ class NvmDevice {
 
   /// Load bytes (sees the latest stored values, flushed or not).
   void load(std::uint64_t off, std::span<std::byte> dst) const;
+
+  /// The CPU-visible bytes of [off, off+len), flushed or not, without a
+  /// copy.  Range-checked and charged exactly like load() of `len` bytes.
+  /// The span stays valid and unchanged until the next store to the range
+  /// (or a crash of the root device); write-backs hand it straight to the
+  /// disk instead of bouncing through a buffer.
+  [[nodiscard]] std::span<const std::byte> read_view(std::uint64_t off,
+                                                     std::size_t len) const;
 
   /// Load without charging read latency — for DRAM-side bookkeeping reads
   /// (e.g. recovery-time full scans are charged; LRU probes are not).
@@ -209,10 +222,10 @@ class NvmDevice {
   std::size_t span_;       ///< bytes addressable through this handle
   NvmProfile profile_;
   sim::SimClock& clock_;
-  std::vector<std::byte> volatile_;    ///< CPU-visible image (root only)
-  std::vector<std::byte> persistent_;  ///< media image (root only)
-  std::vector<std::uint8_t> dirty_;    ///< per-line dirty bit (root only)
-  std::vector<std::uint32_t> line_writes_;  ///< media writes per line (root)
+  MediaVector<std::byte> volatile_;    ///< CPU-visible image (root only)
+  MediaVector<std::byte> persistent_;  ///< media image (root only)
+  MediaVector<std::uint8_t> dirty_;    ///< per-line dirty bit (root only)
+  MediaVector<std::uint32_t> line_writes_;  ///< media writes per line (root)
   std::atomic<std::size_t> dirty_count_ = 0;
   NvmStats stats_;
 };

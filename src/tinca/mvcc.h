@@ -9,7 +9,8 @@
 //   * ONE writer — the thread holding the shard mutex — performs every
 //     mutation: version publication at commit, node retirement at eviction,
 //     trimming and freeing during reclamation.  No CAS loops anywhere.
-//   * ANY number of readers traverse concurrently with acquire loads only.
+//   * ANY number of readers traverse concurrently with loads only (acquire,
+//     and seq_cst for the bucket walk — see unlink()).
 //     A reader pins a commit epoch (pin()) and resolves each block to the
 //     newest version with epoch <= its pin; data blocks referenced by a
 //     chain are immutable (COW never rewrites them) and are returned to the
@@ -183,9 +184,11 @@ class MvccTable {
   [[nodiscard]] const VersionRec* resolve(std::uint64_t disk_blkno,
                                           std::uint64_t snap_epoch) const {
     const VersionRec* best = nullptr;
+    // seq_cst bucket and `next` loads: the reader half of the unlink/pin
+    // Dekker pairing (see unlink()).
     const BlockNode* node =
-        buckets_[bucket_of(disk_blkno)].load(std::memory_order_acquire);
-    for (; node != nullptr; node = node->next.load(std::memory_order_acquire)) {
+        buckets_[bucket_of(disk_blkno)].load(std::memory_order_seq_cst);
+    for (; node != nullptr; node = node->next.load(std::memory_order_seq_cst)) {
       if (node->disk_blkno != disk_blkno) continue;
       const VersionRec* rec = node->chain.load(std::memory_order_acquire);
       while (rec != nullptr && rec->epoch > snap_epoch)
@@ -196,12 +199,13 @@ class MvccTable {
     return best;
   }
 
-  /// Bucket lookup (acquire walk); safe concurrently with writer mutation.
+  /// Bucket lookup (seq_cst walk, paired with unlink()); safe concurrently
+  /// with writer mutation.
   [[nodiscard]] const BlockNode* find(std::uint64_t disk_blkno) const {
     const BlockNode* node =
-        buckets_[bucket_of(disk_blkno)].load(std::memory_order_acquire);
+        buckets_[bucket_of(disk_blkno)].load(std::memory_order_seq_cst);
     while (node != nullptr && node->disk_blkno != disk_blkno)
-      node = node->next.load(std::memory_order_acquire);
+      node = node->next.load(std::memory_order_seq_cst);
     return node;
   }
 
@@ -477,19 +481,27 @@ class MvccTable {
 
   /// Remove `node` from its bucket list (writer only; readers mid-walk keep
   /// a consistent view because the node itself is not freed yet).
+  ///
+  /// The unlinking store is seq_cst, as are the readers' bucket and `next`
+  /// loads and both sides of the pin registry (pin()'s slot store, the
+  /// any_pin()/min_pin() scan): a Dekker pairing (DESIGN.md §12).  Either
+  /// the reclaimer's later scan sees a reader's pin and keeps the node, or
+  /// the reader's later walk sees the unlink and never reaches it.  With
+  /// release/acquire alone both could read the old value (a store-buffer
+  /// reordering x86 allows) and the reader could walk into a freed node.
   void unlink(BlockNode* node) {
     auto& head = buckets_[bucket_of(node->disk_blkno)];
     BlockNode* cur = head.load(std::memory_order_relaxed);
     if (cur == node) {
       head.store(node->next.load(std::memory_order_relaxed),
-                 std::memory_order_release);
+                 std::memory_order_seq_cst);
       return;
     }
     while (cur != nullptr) {
       BlockNode* next = cur->next.load(std::memory_order_relaxed);
       if (next == node) {
         cur->next.store(node->next.load(std::memory_order_relaxed),
-                        std::memory_order_release);
+                        std::memory_order_seq_cst);
         return;
       }
       cur = next;

@@ -173,9 +173,8 @@ void TincaCache::load_for_recovery() {
 }
 
 std::uint64_t TincaCache::block_fp(std::uint32_t nvm_block) const {
-  std::vector<std::byte> buf(kBlockSize);
-  nvm_.load(layout_.data_block_off(nvm_block), buf);
-  return fingerprint(buf);
+  return fingerprint(
+      nvm_.read_view(layout_.data_block_off(nvm_block), kBlockSize));
 }
 
 // Whether a committed record's block can still be surfaced whole: the entry
@@ -550,9 +549,9 @@ bool TincaCache::writeback(std::uint32_t slot) {
   const CacheEntry& e = mirror_[slot];
   if (quarantine_.contains(e.disk_blkno)) return false;
   if (mvcc_defer_disk_write(e.disk_blkno)) return false;
-  std::vector<std::byte> buf(kBlockSize);
-  nvm_.load(layout_.data_block_off(e.curr_nvm), buf);
-  const blockdev::IoStatus st = disk_write(e.disk_blkno, buf);
+  const blockdev::IoStatus st = disk_write(
+      e.disk_blkno,
+      nvm_.read_view(layout_.data_block_off(e.curr_nvm), kBlockSize));
   if (st == blockdev::IoStatus::kOk) return true;
   if (st == blockdev::IoStatus::kBadSector) note_bad_block(e.disk_blkno);
   return false;
@@ -718,10 +717,10 @@ cleaner::CleanOutcome TincaCache::cleaner_clean(std::uint64_t key,
   if (mvcc_defer_disk_write(key)) return cleaner::CleanOutcome::kPinned;
 
   if (!cfg_.cleaner.sabotage_skip_write) {
-    std::vector<std::byte> buf(kBlockSize);
-    nvm_.load(layout_.data_block_off(e.curr_nvm), buf);
+    const std::span<const std::byte> data =
+        nvm_.read_view(layout_.data_block_off(e.curr_nvm), kBlockSize);
     nvm_.injector.point();  // CP: cut mid-drain, before the disk write
-    const blockdev::IoStatus st = disk_write(key, buf, io_retries);
+    const blockdev::IoStatus st = disk_write(key, data, io_retries);
     if (st != blockdev::IoStatus::kOk) {
       // Unlike the foreground path, a bad sector does NOT give up for good:
       // the cleaner keeps the block on its backoff queue, so quarantine is a

@@ -191,7 +191,6 @@ void UbjStore::note_bad_block(std::uint64_t disk_blkno) {
 // remaining blocks frozen and recovery simply re-checkpoints them.
 void UbjStore::checkpoint_front(std::uint64_t* io_retries) {
   TINCA_EXPECT(!unchkpt_.empty(), "checkpoint with nothing outstanding");
-  std::vector<std::byte> buf(kBlockSize);
   TxnRecord rec = std::move(unchkpt_.front());
   unchkpt_.pop_front();
   // Transaction-granular checkpoint: every frozen block of the txn goes
@@ -206,9 +205,10 @@ void UbjStore::checkpoint_front(std::uint64_t* io_retries) {
     // degrades — UBJ has no other home for the data.
     if (quarantine_.contains(s.disk_blkno)) continue;
     if (!cfg_.cleaner.sabotage_skip_write) {
-      nvm_.load(data_off(slot), buf);
+      const std::span<const std::byte> data =
+          nvm_.read_view(data_off(slot), kBlockSize);
       nvm_.injector.point();  // CP: cut mid-checkpoint, before the write
-      const blockdev::IoStatus st = disk_write(s.disk_blkno, buf, io_retries);
+      const blockdev::IoStatus st = disk_write(s.disk_blkno, data, io_retries);
       if (st != blockdev::IoStatus::kOk) {
         if (st == blockdev::IoStatus::kBadSector) note_bad_block(s.disk_blkno);
         continue;

@@ -24,6 +24,14 @@ TEST(MemBlockDevice, UnwrittenBlocksReadZero) {
   std::vector<std::byte> buf(kBlockSize, std::byte{0xFF});
   dev.read(7, buf);
   for (std::byte b : buf) EXPECT_EQ(b, std::byte{0});
+  // Still zeros once its neighbours hold the slab blocks around it.
+  dev.write(6, block_with(6));
+  dev.write(8, block_with(8));
+  std::fill(buf.begin(), buf.end(), std::byte{0xFF});
+  dev.read(7, buf);
+  EXPECT_EQ(buf, std::vector<std::byte>(kBlockSize));
+  dev.read(8, buf);
+  EXPECT_EQ(buf, block_with(8));
 }
 
 TEST(MemBlockDevice, WriteReadRoundTrip) {
@@ -40,6 +48,13 @@ TEST(MemBlockDevice, SparseResidency) {
   dev.write(999'999, block_with(2));
   dev.write(0, block_with(3));
   EXPECT_EQ(dev.resident_blocks(), 2u);
+  dev.write(0, block_with(4));  // a rewrite is not a first write
+  EXPECT_EQ(dev.resident_blocks(), 2u);
+  std::vector<std::byte> got(kBlockSize);
+  dev.read(0, got);
+  EXPECT_EQ(got, block_with(4));
+  dev.read(999'999, got);  // the last block
+  EXPECT_EQ(got, block_with(2));
 }
 
 TEST(MemBlockDevice, StatsCountIo) {
@@ -56,9 +71,29 @@ TEST(MemBlockDevice, BoundsChecked) {
   MemBlockDevice dev(10);
   std::vector<std::byte> buf(kBlockSize);
   EXPECT_THROW(dev.write(10, buf), ContractViolation);
+  EXPECT_THROW(dev.read(10, buf), ContractViolation);
   EXPECT_THROW(dev.read(11, buf), ContractViolation);
   std::vector<std::byte> small(8);
   EXPECT_THROW(dev.write(0, small), ContractViolation);
+}
+
+TEST(MemBlockDevice, FirstWritesCrossASlabBoundary) {
+  // First writes in descending block order, so slab order differs from
+  // block order; the 512th and 513th first writes straddle two slabs.
+  const std::uint64_t n = MemBlockDevice::kSlabBlocks + 1;
+  ASSERT_EQ(n, 513u);
+  MemBlockDevice dev(2 * n);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    dev.write(2 * n - 1 - i, block_with(i));
+    EXPECT_EQ(dev.resident_blocks(), i + 1);
+  }
+  std::vector<std::byte> got(kBlockSize);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    dev.read(2 * n - 1 - i, got);
+    ASSERT_EQ(got, block_with(i)) << "first write #" << i + 1;
+  }
+  dev.read(0, got);  // never written
+  EXPECT_EQ(got, std::vector<std::byte>(kBlockSize));
 }
 
 TEST(LatencyBlockDevice, SsdChargesPerBlock) {

@@ -2,6 +2,8 @@
 // queue, resources, byte codecs, latency profiles, table printer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <set>
 #include <span>
@@ -13,6 +15,7 @@
 #include "common/expect.h"
 #include "common/histogram.h"
 #include "common/latency.h"
+#include "common/media_alloc.h"
 #include "common/rng.h"
 #include "common/sim_clock.h"
 #include "common/table.h"
@@ -44,6 +47,38 @@ TEST(Expect, ThrowsContractViolationWithContext) {
   } catch (const ContractViolation& e) {
     EXPECT_NE(std::string(e.what()).find("the impossible"), std::string::npos);
   }
+}
+
+TEST(MediaAllocator, LargeRequestsAre2MbAligned) {
+  MediaAllocator<std::byte> alloc;
+  for (const std::size_t n : {kHugePageBytes, kHugePageBytes + 5,
+                              3 * kHugePageBytes}) {
+    std::byte* p = alloc.allocate(n);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % kHugePageBytes, 0u) << n;
+    p[0] = std::byte{1};
+    p[n - 1] = std::byte{2};
+    alloc.deallocate(p, n);
+  }
+  // Small requests stay plain heap memory.
+  MediaAllocator<std::uint32_t> small;
+  std::uint32_t* q = small.allocate(16);
+  q[15] = 7;
+  small.deallocate(q, 16);
+}
+
+TEST(MediaAllocator, VectorsZeroFillAndCopyAssign) {
+  MediaVector<std::byte> big(kHugePageBytes + 64);
+  EXPECT_EQ(std::count(big.begin(), big.end(), std::byte{0}),
+            static_cast<std::ptrdiff_t>(big.size()));
+  fill_pattern(big, 5);
+  MediaVector<std::byte> copy(big.size());
+  copy = big;
+  EXPECT_TRUE(std::equal(big.begin(), big.end(), copy.begin(), copy.end()));
+  MediaVector<std::uint32_t> small(100);
+  EXPECT_EQ(std::count(small.begin(), small.end(), 0u), 100);
+  MediaVector<std::uint32_t> small_copy;
+  small_copy = small;
+  EXPECT_EQ(small_copy, small);
 }
 
 TEST(Rng, DeterministicAcrossInstances) {

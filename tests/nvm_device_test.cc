@@ -220,6 +220,51 @@ TEST(NvmDevice, StatsDeltaOperator) {
   EXPECT_EQ(d.stores, 0u);
 }
 
+TEST(NvmDevice, ReadViewSeesUnflushedBytesAndChargesLikeLoad) {
+  Fixture f;
+  std::vector<std::byte> data(200);
+  fill_pattern(data, 3);
+  f.dev.store(100, data);  // unflushed: still only in the CPU cache
+  const std::uint64_t t0 = f.clock.now();
+  const std::uint64_t l0 = f.dev.stats().lines_loaded;
+  const std::span<const std::byte> view = f.dev.read_view(100, data.size());
+  const std::uint64_t view_ns = f.clock.now() - t0;
+  const std::uint64_t view_lines = f.dev.stats().lines_loaded - l0;
+  EXPECT_TRUE(std::equal(view.begin(), view.end(), data.begin(), data.end()));
+
+  std::vector<std::byte> got(data.size());
+  const std::uint64_t t1 = f.clock.now();
+  f.dev.load(100, got);
+  EXPECT_EQ(f.clock.now() - t1, view_ns);
+  EXPECT_EQ(f.dev.stats().lines_loaded - l0 - view_lines, view_lines);
+  EXPECT_EQ(view_lines, (data.size() + NvmDevice::kLineSize - 1) /
+                            NvmDevice::kLineSize);
+  EXPECT_GT(view_ns, 0u);
+  EXPECT_EQ(got, data);
+  EXPECT_THROW((void)f.dev.read_view(kDev - 8, 9), ContractViolation);
+}
+
+TEST(NvmDevice, ReadViewOnAViewChargesTheViewOnly) {
+  Fixture f;
+  sim::SimClock view_clock;
+  NvmDevice view(f.dev, 4096, 8192, view_clock);
+  std::vector<std::byte> data(4096);
+  fill_pattern(data, 8);
+  view.store(64, data);
+  const NvmStats root_before = f.dev.stats();
+  const std::uint64_t root_t0 = f.clock.now();
+  const std::uint64_t t0 = view_clock.now();
+  const std::span<const std::byte> got = view.read_view(64, data.size());
+  EXPECT_TRUE(std::equal(got.begin(), got.end(), data.begin(), data.end()));
+  EXPECT_EQ(got.data(), f.dev.read_view(4096 + 64, 1).data());
+  EXPECT_EQ(view.stats().lines_loaded, 4096u / NvmDevice::kLineSize);
+  EXPECT_EQ(view_clock.now() - t0, (4096u / NvmDevice::kLineSize) *
+                                       pcm_profile().line_read_cost());
+  EXPECT_EQ(f.dev.stats().lines_loaded - root_before.lines_loaded, 1u);
+  EXPECT_EQ(f.clock.now() - root_t0, pcm_profile().line_read_cost());
+  EXPECT_THROW((void)view.read_view(8192 - 64, 65), ContractViolation);
+}
+
 TEST(NvmDevice, OutOfRangeAccessesThrow) {
   Fixture f;
   std::vector<std::byte> buf(16);
@@ -282,6 +327,27 @@ TEST(CrashInjector, FiresAtArmedStep) {
   inj.point();
   inj.point();
   EXPECT_THROW(inj.point(), CrashException);
+}
+
+TEST(CrashInjector, DisarmedSingleThreadCountsEveryPointExactly) {
+  CrashInjector inj;
+  for (int i = 1; i <= 10000; ++i) {
+    inj.point();
+    if (i % 3 == 0) {
+      EXPECT_FALSE(inj.point_torn());
+    }
+  }
+  EXPECT_EQ(inj.steps_seen(), 10000u);
+  EXPECT_EQ(inj.torn_steps_seen(), 3333u);
+  // Arming restarts the numbering a sweep replays against.
+  inj.arm(4);
+  for (int i = 0; i < 3; ++i) EXPECT_NO_THROW(inj.point());
+  EXPECT_THROW(inj.point(), CrashException);
+  EXPECT_EQ(inj.steps_seen(), 4u);
+  inj.arm_torn(2);
+  EXPECT_FALSE(inj.point_torn());
+  EXPECT_TRUE(inj.point_torn());
+  EXPECT_EQ(inj.torn_steps_seen(), 2u);
 }
 
 TEST(CrashInjector, DisarmStopsFiring) {

@@ -5,6 +5,7 @@
 
 #include <map>
 
+#include "blockdev/faulty_block_device.h"
 #include "blockdev/mem_block_device.h"
 #include "common/bytes.h"
 #include "tinca/tinca_cache.h"
@@ -38,6 +39,46 @@ TEST(TincaEdge, RingWrapsManyTimesWithoutDrift) {
   const MediaReport r = verify_media(dev, cache->layout());
   EXPECT_TRUE(r.ok) << (r.problems.empty() ? "" : r.problems[0]);
   EXPECT_EQ(r.in_flight, 0u);
+}
+
+TEST(TincaEdge, TornWritebackFromNvmLeavesHalfBlockAndEntryDirty) {
+  // Write-backs hand the disk a view of the NVM block, not a copy: a disk
+  // write torn mid-transfer must still land half new / half old and leave
+  // the entry dirty, in DRAM and across the power cut.
+  sim::SimClock clock;
+  nvm::NvmDevice dev(1 << 20, nvdimm_profile(), clock);
+  blockdev::MemBlockDevice mem(1 << 14);
+  blockdev::FaultyBlockDevice disk(mem, {}, &clock, &dev.injector);
+  const auto old_data = block_of(1);
+  const auto new_data = block_of(2);
+  ASSERT_EQ(mem.write(5, old_data), blockdev::IoStatus::kOk);
+  const TincaConfig cfg{.ring_bytes = 4096};
+  auto cache = TincaCache::format(dev, disk, cfg);
+  auto txn = cache->tinca_init_txn();
+  txn.add(5, new_data);
+  cache->tinca_commit(txn);
+  ASSERT_EQ(cache->dirty_blocks(), 1u);
+
+  disk.tear_write_after(1);
+  EXPECT_THROW(cache->flush_dirty(), nvm::CrashException);
+  std::vector<std::byte> got(kBlockSize);
+  ASSERT_EQ(mem.read(5, got), blockdev::IoStatus::kOk);
+  EXPECT_TRUE(std::equal(got.begin(), got.begin() + kBlockSize / 2,
+                         new_data.begin()));
+  EXPECT_TRUE(std::equal(got.begin() + kBlockSize / 2, got.end(),
+                         old_data.begin() + kBlockSize / 2));
+  EXPECT_EQ(cache->dirty_blocks(), 1u);
+
+  dev.crash_discard_all();
+  cache.reset();
+  auto recovered = TincaCache::recover(dev, disk, cfg);
+  EXPECT_EQ(recovered->dirty_blocks(), 1u);
+  recovered->read_block(5, got);
+  EXPECT_EQ(got, new_data);
+  recovered->flush_dirty();  // the retry completes the write-back
+  EXPECT_EQ(recovered->dirty_blocks(), 0u);
+  ASSERT_EQ(mem.read(5, got), blockdev::IoStatus::kOk);
+  EXPECT_EQ(got, new_data);
 }
 
 TEST(TincaEdge, TxnAtExactlyMaxSizeCommits) {

@@ -4,6 +4,7 @@
     tools/host_profile.py --workload fio-evict [--seed 7] [--seconds 30]
                           [--under perfbench::BackendShim::commit] [--top 30]
     tools/host_profile.py --samples FILE [--under FRAME]   # re-read a run
+    tools/host_profile.py --samples FILE --callers '__nss_database_lookup'
 
 Run from the repository root.  The tool
 
@@ -22,8 +23,16 @@ Run from the repository root.  The tool
      anywhere on the stack).  With --under FRAME only samples that have
      FRAME on their stack count, and shares are of those samples.
 
+With --callers FRAME it then takes the samples whose innermost frame is
+FRAME and prints, with shares, their nearest caller outside the C and C++
+runtimes: frames in libc, libstdc++, libm, libgcc_s or the dynamic loader
+and inlined std:: / __gnu_cxx:: template code are skipped.  That is how a
+libc memcpy or memset (stripped libc shows it under the nearest exported
+symbol, e.g. `__nss_database_lookup [libc.so.6]`) is traced to the code
+that asked for it.
+
 Frames are matched by their demangled name with or without the parameter
-list.  The sample file is kept in .bench_build/profile/ and can be re-read
+list or the library tag.  The sample file is kept in .bench_build/profile/ and can be re-read
 with --samples.  Needs only the Python standard library, gcc, cmake and
 binutils' addr2line.
 """
@@ -41,6 +50,9 @@ ROOT = os.getcwd()
 BUILD = os.path.join(ROOT, ".bench_build", "profile")
 HERE = os.path.dirname(os.path.abspath(__file__))
 ADDR_LINE = re.compile(r"^0x[0-9a-f]+$")
+RUNTIME_LIB = re.compile(
+    r"\[(?:libc|libstdc\+\+|libm|libgcc_s|ld-linux)[.\-][^\]]*\]$")
+STD_FRAME = re.compile(r"^(?:[\w ]+ )?(?:std|__gnu_cxx)::")
 
 
 def fail(msg):
@@ -202,10 +214,33 @@ def frames_of(stacks, maps):
 
 
 def matches(frame, want):
-    return frame == want or frame.startswith(want + "(")
+    return (frame == want or frame.startswith(want + "(")
+            or frame.startswith(want + " ["))
 
 
-def report(expanded, header, under, top):
+def is_runtime(frame):
+    """Whether a frame belongs to the C/C++ runtime or is unsymbolized."""
+    return (frame.startswith("??") or RUNTIME_LIB.search(frame) is not None
+            or STD_FRAME.match(frame) is not None)
+
+
+def report_callers(expanded, frame, top):
+    """Nearest non-runtime caller of the samples whose leaf is `frame`."""
+    leaf = [f for f in expanded if matches(f[0], frame)]
+    n = len(expanded)
+    share = 100.0 * len(leaf) / n if n else 0.0
+    print(f"\ncallers of {frame}: {len(leaf)} samples "
+          f"({share:.1f} % of the {n} above)")
+    if not leaf:
+        return
+    callers = collections.Counter(
+        next((x for x in f[1:] if not is_runtime(x)), "(none)") for f in leaf)
+    print(f"{'of-leaf%':>8} {'of-all%':>8}  nearest caller outside the runtime")
+    for name, c in callers.most_common(top):
+        print(f"{100.0 * c / len(leaf):8.2f} {100.0 * c / n:8.2f}  {name[:160]}")
+
+
+def report(expanded, header, under, top, callers=None):
     total = len(expanded)
     if under:
         expanded = [f for f in expanded if any(matches(x, under) for x in f)]
@@ -233,6 +268,8 @@ def report(expanded, header, under, top):
         for name, _ in counter.most_common(top):
             print(f"{100.0 * self_n[name] / n:7.2f} {100.0 * incl_n[name] / n:7.2f}"
                   f"  {name[:160]}")
+    if callers:
+        report_callers(expanded, callers, top)
 
 
 def main():
@@ -244,6 +281,9 @@ def main():
     ap.add_argument("--seconds", type=int, default=30)
     ap.add_argument("--samples", help="analyze this sample file, do not run")
     ap.add_argument("--under", help="only samples with this frame on the stack")
+    ap.add_argument("--callers", metavar="FRAME",
+                    help="also print the nearest caller outside libc/libstdc++"
+                         " of the samples whose innermost frame is FRAME")
     ap.add_argument("--top", type=int, default=30)
     args = ap.parse_args()
     if not args.samples and not args.workload:
@@ -256,7 +296,7 @@ def main():
     if not stacks:
         fail(f"{path}: no samples")
     print(f"sample file: {path}")
-    report(frames_of(stacks, maps), header, args.under, args.top)
+    report(frames_of(stacks, maps), header, args.under, args.top, args.callers)
     return 0
 
 
