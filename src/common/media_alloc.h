@@ -14,11 +14,7 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdlib>
-#include <new>
 #include <vector>
-
-#include <sys/mman.h>
 
 namespace tinca {
 
@@ -26,27 +22,12 @@ namespace tinca {
 inline constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
 
 /// Allocate `bytes` of uninitialized media storage.  Requests of at least
-/// kHugePageBytes are 2 MB-aligned and advised for huge pages.
-inline void* media_allocate(std::size_t bytes) {
-  if (bytes < kHugePageBytes) return ::operator new(bytes);
-  const std::size_t rounded =
-      (bytes + kHugePageBytes - 1) / kHugePageBytes * kHugePageBytes;
-  void* p = std::aligned_alloc(kHugePageBytes, rounded);
-  if (p == nullptr) throw std::bad_alloc();
-#ifdef MADV_HUGEPAGE
-  ::madvise(p, rounded, MADV_HUGEPAGE);  // advisory: failure keeps 4 KB pages
-#endif
-  return p;
-}
+/// kHugePageBytes are 2 MB-aligned and advised for huge pages.  Throws
+/// std::bad_alloc when out of memory.
+void* media_allocate(std::size_t bytes);
 
 /// Release storage from media_allocate(`bytes`).
-inline void media_deallocate(void* p, std::size_t bytes) {
-  if (bytes < kHugePageBytes) {
-    ::operator delete(p);
-  } else {
-    std::free(p);
-  }
-}
+void media_deallocate(void* p, std::size_t bytes) noexcept;
 
 /// std::allocator-compatible front end of media_allocate.
 template <class T>
