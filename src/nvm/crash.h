@@ -40,7 +40,7 @@ class CrashException : public std::exception {
 /// The counters advance with a relaxed load + store, not a locked
 /// read-modify-write: points sit on every commit path and are passed
 /// millions of times while disarmed.  Counts are therefore exact only when
-/// one thread drives the stack; concurrent drivers may lose increments.
+/// one thread drives the stack; concurrent threads may lose increments.
 /// That is the only setting in which arming means anything anyway — step
 /// numbering is deterministic only in single-threaded sweeps.
 class CrashInjector {
