@@ -106,7 +106,7 @@ double skew(const nvm::NvmDevice::WearReport& w) {
 /// the rotating ring, and report the hottest metadata line.
 nvm::NvmDevice::WearReport run_watermark_wear(std::uint32_t slots) {
   struct NullSink : nvlog::NvLogTier::DrainSink {
-    void drain_apply(const DrainBatch& blocks) override { (void)blocks; }
+    void drain_apply(DrainBatch& blocks) override { (void)blocks; }
   } sink;
   sim::SimClock clock;
   nvm::NvmDevice nvm(1 << 19, pcm_profile(), clock);

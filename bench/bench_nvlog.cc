@@ -231,7 +231,7 @@ RunResult run_stacked(backend::StackKind kind, std::uint64_t txns,
 /// write count over the metadata ring region.
 std::uint64_t meta_hot_line_writes(std::uint32_t slots, int cycles) {
   struct NullSink : nvlog::NvLogTier::DrainSink {
-    void drain_apply(const DrainBatch& blocks) override { (void)blocks; }
+    void drain_apply(DrainBatch& blocks) override { (void)blocks; }
   } sink;
   sim::SimClock clock;
   nvm::NvmDevice nvm(1 << 19, nvdimm_profile(), clock);

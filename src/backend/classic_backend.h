@@ -32,11 +32,7 @@ class ClassicBackend final : public TxnBackend {
   /// so a group is atomic per member only, and only with the journal on.
   void commit_group(std::span<GroupTxn> txns) override {
     TINCA_EXPECT(!txn_open(), "group commit with a transaction open");
-    for (GroupTxn& t : txns) {
-      classic::ClassicTxn txn = stack_->begin_txn();
-      for (auto& [blkno, data] : t.writes) txn.add(blkno, std::move(data));
-      stack_->commit(txn);
-    }
+    for (GroupTxn& t : txns) stack_->commit(t);
   }
 
   void read_block(std::uint64_t blkno, std::span<std::byte> dst) override {

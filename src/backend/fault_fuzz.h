@@ -79,11 +79,10 @@ class BlockWorkload final : public CrashWorkload {
       // merge, and the merged distinct-block count stays within max_blocks.
       std::vector<GroupTxn> batch(1);
       const auto add = [&](GroupTxn& m, std::uint64_t blkno) {
-        for (const auto& [b, data] : m.writes)
+        for (const auto& [b, data] : m.writes())
           if (b == blkno) return false;
         fill_pattern(buf, next_pattern());
-        m.writes.emplace_back(blkno,
-                              std::vector<std::byte>(buf.begin(), buf.end()));
+        m.add(blkno, buf);
         return true;
       };
       if (o.group_commit && s.backend().supports_group_commit() &&
@@ -101,7 +100,7 @@ class BlockWorkload final : public CrashWorkload {
         }
       } else {
         const std::uint64_t nblocks = 1 + s.rng.below(max_blocks);
-        while (batch[0].writes.size() < nblocks)
+        while (batch[0].block_count() < nblocks)
           add(batch[0], s.rng.below(o.data_blocks));
       }
       be.commit_group(batch);

@@ -35,7 +35,6 @@
 #include "backend/txn_backend.h"
 #include "common/bytes.h"
 #include "common/rng.h"
-#include "obs/json.h"
 #include "obs/metrics.h"
 
 namespace tinca::backend {
@@ -296,9 +295,7 @@ inline StackConfig fuzz_stack_config(const FuzzOptions& o,
 inline void fuzz_collect(const TxnBackend& be, FuzzReport& rep) {
   obs::MetricsRegistry reg;
   be.register_metrics(reg, "");
-  const obs::Json doc = reg.to_json();
-  for (const auto& [name, value] : doc.members()) {
-    const std::string_view n = name;
+  reg.for_each_value([&rep](std::string_view n, std::uint64_t value) {
     const bool log_cleaner = n.ends_with("nvlog.cleaner.retired");
     const bool cache_cleaner = !log_cleaner && n.ends_with("cleaner.retired");
     rep.log_cleaner_armed |= log_cleaner;
@@ -310,8 +307,8 @@ inline void fuzz_collect(const TxnBackend& be, FuzzReport& rep) {
         : log_cleaner                        ? &rep.log_cleaner_retired
         : cache_cleaner                      ? &rep.cleaner_retired
                                              : nullptr;
-    if (total != nullptr) *total += static_cast<std::uint64_t>(value.num());
-  }
+    if (total != nullptr) *total += value;
+  });
 }
 
 /// Fold one schedule's disk-fault telemetry into the campaign totals.
@@ -363,7 +360,7 @@ class RecordingBackend final : public TxnBackend {
   void commit_group(std::span<GroupTxn> txns) override {
     pending_.clear();
     for (const GroupTxn& t : txns) {
-      for (const auto& [blkno, data] : t.writes) {
+      for (const auto& [blkno, data] : t.writes()) {
         pending_[blkno] = fingerprint(data);
         universe_.insert(blkno);
       }

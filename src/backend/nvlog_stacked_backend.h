@@ -30,6 +30,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -112,8 +113,8 @@ class NvLogStackedBackend final : public TxnBackend,
       members.reserve(txns.size());
       for (const GroupTxn& t : txns) {
         auto& blocks = members.emplace_back();
-        blocks.reserve(t.writes.size());
-        for (const auto& [blkno, data] : t.writes) {
+        blocks.reserve(t.block_count());
+        for (const auto& [blkno, data] : t.writes()) {
           TINCA_EXPECT(blkno < data_block_limit(), "write past the data area");
           blocks.emplace_back(blkno, data);
         }
@@ -208,9 +209,7 @@ class NvLogStackedBackend final : public TxnBackend,
 
   // --- DrainSink -----------------------------------------------------------
 
-  void drain_apply(const DrainBatch& blocks) override {
-    apply_chunked(blocks);
-  }
+  void drain_apply(DrainBatch& blocks) override { apply_chunked(blocks); }
 
   [[nodiscard]] std::uint32_t drain_shard_count() const override {
     return sharded_ != nullptr ? sharded_->sharded().shard_count() : 1;
@@ -222,7 +221,7 @@ class NvLogStackedBackend final : public TxnBackend,
   }
 
   std::uint64_t drain_apply_shards(
-      const std::vector<DrainBatch>& shard_batches) override {
+      std::vector<DrainBatch>& shard_batches) override {
     if (cfg_.drain_threads) return drain_shards_threaded(shard_batches);
     // Deterministic mode: apply the shard batches one after another —
     // they touch disjoint shards, so order is immaterial — but model the
@@ -341,18 +340,24 @@ class NvLogStackedBackend final : public TxnBackend,
   /// Apply one ascending batch through the inner's commit_group path,
   /// chunked to its transaction capacity: each chunk is ONE inner commit —
   /// one flush pass, one sfence (§14) on Tinca/Sharded — and durable on
-  /// return.  A crash between chunks just replays the segment (the
-  /// watermark has not advanced), and the inner's own commit protocol keeps
-  /// each chunk atomic; the journal-less Classic inner makes each block
-  /// durable on its own, which is all a replayable drain needs.
-  void apply_chunked(const DrainBatch& blocks) {
+  /// return.  The chunks take the drained payloads over (the whole batch
+  /// when it fits one chunk), so a payload is copied once, out of the log.
+  /// A crash between chunks just replays the segment (the watermark has not
+  /// advanced), and the inner's own commit protocol keeps each chunk
+  /// atomic; the journal-less Classic inner makes each block durable on its
+  /// own, which is all a replayable drain needs.
+  void apply_chunked(DrainBatch& blocks) {
     const std::uint64_t chunk =
         std::max<std::uint64_t>(1, inner_->max_txn_blocks());
     for (std::size_t i = 0; i < blocks.size(); i += chunk) {
-      const std::size_t end = std::min(blocks.size(), i + chunk);
-      GroupTxn g;
-      g.writes.assign(blocks.begin() + static_cast<std::ptrdiff_t>(i),
-                      blocks.begin() + static_cast<std::ptrdiff_t>(end));
+      const auto first = blocks.begin() + static_cast<std::ptrdiff_t>(i);
+      const auto last = blocks.begin() + static_cast<std::ptrdiff_t>(
+                                             std::min(blocks.size(), i + chunk));
+      // A batch that fits one chunk is taken whole, which empties `blocks`.
+      GroupTxn g(blocks.size() <= chunk
+                     ? std::move(blocks)
+                     : DrainBatch(std::make_move_iterator(first),
+                                  std::make_move_iterator(last)));
       inner_->commit_group(std::span<GroupTxn>(&g, 1));
     }
   }
@@ -363,8 +368,7 @@ class NvLogStackedBackend final : public TxnBackend,
   /// LockedBlockDevice.  No injector points here — crash sweeps use the
   /// deterministic mode.  Returns 0: with real threads the wall time is
   /// genuine, so the tier's clock delta is the honest measure.
-  std::uint64_t drain_shards_threaded(
-      const std::vector<DrainBatch>& shard_batches) {
+  std::uint64_t drain_shards_threaded(std::vector<DrainBatch>& shard_batches) {
     std::vector<std::thread> workers;
     std::vector<std::exception_ptr> errors(shard_batches.size());
     for (std::uint32_t s = 0; s < shard_batches.size(); ++s) {

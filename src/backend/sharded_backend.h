@@ -41,20 +41,14 @@ class ShardedBackend final : public TxnBackend {
   /// larger groups commit as one deterministic commit_batch.
   void commit_group(std::span<GroupTxn> txns) override {
     TINCA_EXPECT(!txn_open(), "group commit with a transaction open");
-    std::vector<shard::ShardedTxn> staged;
-    staged.reserve(txns.size());
-    for (GroupTxn& t : txns) {
-      shard::ShardedTxn& txn = staged.emplace_back(sharded_->init_txn());
-      for (auto& [blkno, data] : t.writes) txn.add(blkno, std::move(data));
-    }
-    if (staged.size() == 1) {
-      sharded_->commit(staged.front());
+    if (txns.size() == 1) {
+      sharded_->commit(txns.front());
       return;
     }
-    std::vector<shard::ShardedTxn*> ptrs;
-    ptrs.reserve(staged.size());
-    for (shard::ShardedTxn& t : staged) ptrs.push_back(&t);
-    sharded_->commit_batch(ptrs);
+    std::vector<shard::ShardedTxn*> members;
+    members.reserve(txns.size());
+    for (GroupTxn& t : txns) members.push_back(&t);
+    sharded_->commit_batch(members);
   }
 
   void read_block(std::uint64_t blkno, std::span<std::byte> dst) override {

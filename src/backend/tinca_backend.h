@@ -33,16 +33,10 @@ class TincaBackend final : public TxnBackend {
 
   void commit_group(std::span<GroupTxn> txns) override {
     TINCA_EXPECT(!txn_open(), "group commit with a transaction open");
-    std::vector<core::Transaction> staged;
-    staged.reserve(txns.size());
-    for (GroupTxn& t : txns) {
-      core::Transaction& txn = staged.emplace_back(cache_->tinca_init_txn());
-      for (auto& [blkno, data] : t.writes) txn.add(blkno, std::move(data));
-    }
-    std::vector<core::Transaction*> ptrs;
-    ptrs.reserve(staged.size());
-    for (core::Transaction& t : staged) ptrs.push_back(&t);
-    cache_->commit_group(ptrs);
+    std::vector<core::Transaction*> members;
+    members.reserve(txns.size());
+    for (GroupTxn& t : txns) members.push_back(&t);
+    cache_->commit_group(members);
   }
 
   void read_block(std::uint64_t blkno, std::span<std::byte> dst) override {

@@ -16,11 +16,9 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
-#include <vector>
 
-#include "blockdev/block_device.h"
+#include "blockdev/write_set.h"
 #include "common/expect.h"
 
 namespace tinca::obs {
@@ -32,12 +30,9 @@ class Tracer;
 namespace tinca::backend {
 
 /// One member of a group commit: a whole transaction's write set, staged in
-/// DRAM and handed to commit_group() at once.  Its block numbers are
-/// distinct (commit() builds it from the deduplicated staging); across the
-/// members of one group, later members win.
-struct GroupTxn {
-  std::vector<std::pair<std::uint64_t, std::vector<std::byte>>> writes;
-};
+/// DRAM and handed to commit_group() at once.  Across the members of one
+/// group, later members win.
+using GroupTxn = blockdev::WriteSet;
 
 /// Abstract transactional block backend (4 KB blocks).
 class TxnBackend {
@@ -54,13 +49,7 @@ class TxnBackend {
   /// block keeps its first-staged position and its latest bytes.
   virtual void stage(std::uint64_t blkno, std::span<const std::byte> data) {
     TINCA_EXPECT(open_, "stage without begin");
-    TINCA_EXPECT(data.size() == blockdev::kBlockSize,
-                 "transaction blocks are 4 KB");
-    const auto [at, fresh] =
-        staged_at_.try_emplace(blkno, staged_.writes.size());
-    if (fresh)
-      staged_.writes.emplace_back(blkno, std::vector<std::byte>());
-    staged_.writes[at->second].second.assign(data.begin(), data.end());
+    staged_.add(blkno, data);
   }
 
   /// Durably commit the running transaction (atomic all-or-nothing) as a
@@ -73,16 +62,17 @@ class TxnBackend {
   /// remounts, and may begin() the next transaction.
   virtual void commit() {
     TINCA_EXPECT(open_, "commit without begin");
-    GroupTxn txn = std::move(staged_);
-    close_txn();
-    if (!txn.writes.empty()) commit_group(std::span<GroupTxn>(&txn, 1));
+    GroupTxn txn = std::exchange(staged_, {});
+    open_ = false;
+    if (!txn.empty()) commit_group(std::span<GroupTxn>(&txn, 1));
   }
 
   /// Abort the running transaction; staged updates are discarded without
   /// reaching the backend.
   virtual void abort() {
     TINCA_EXPECT(open_, "abort without begin");
-    close_txn();
+    open_ = false;
+    staged_ = {};
   }
 
   // --- Group commit (DESIGN.md §14) ----------------------------------------
@@ -106,7 +96,7 @@ class TxnBackend {
   virtual void commit_group(std::span<GroupTxn> txns) {
     for (GroupTxn& t : txns) {
       begin();
-      for (const auto& [blkno, data] : t.writes) stage(blkno, data);
+      for (const auto& [blkno, data] : t.writes()) stage(blkno, data);
       commit();
     }
   }
@@ -183,16 +173,8 @@ class TxnBackend {
   [[nodiscard]] bool txn_open() const { return open_; }
 
  private:
-  void close_txn() {
-    open_ = false;
-    staged_.writes.clear();
-    staged_at_.clear();
-  }
-
   bool open_ = false;
   GroupTxn staged_;  ///< the running transaction, in first-staged order
-  /// blkno → its index in staged_.writes.
-  std::unordered_map<std::uint64_t, std::size_t> staged_at_;
 };
 
 }  // namespace tinca::backend

@@ -29,7 +29,7 @@ class UbjBackend final : public TxnBackend {
   /// each), so a group is atomic per member only.
   void commit_group(std::span<GroupTxn> txns) override {
     TINCA_EXPECT(!txn_open(), "group commit with a transaction open");
-    for (const GroupTxn& t : txns) store_->commit_txn(t.writes);
+    for (const GroupTxn& t : txns) store_->commit_txn(t.writes());
   }
 
   void read_block(std::uint64_t blkno, std::span<std::byte> dst) override {

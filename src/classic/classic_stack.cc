@@ -4,18 +4,6 @@
 
 namespace tinca::classic {
 
-void ClassicTxn::add(std::uint64_t disk_blkno, std::span<const std::byte> data) {
-  add(disk_blkno, std::vector<std::byte>(data.begin(), data.end()));
-}
-
-void ClassicTxn::add(std::uint64_t disk_blkno, std::vector<std::byte>&& data) {
-  TINCA_EXPECT(open_, "add to a closed transaction");
-  TINCA_EXPECT(data.size() == blockdev::kBlockSize, "blocks are 4 KB");
-  auto [it, inserted] = blocks_.try_emplace(disk_blkno);
-  if (inserted) order_.push_back(disk_blkno);
-  it->second = std::move(data);
-}
-
 ClassicStack::ClassicStack(nvm::NvmDevice& nvm, blockdev::BlockDevice& disk,
                            ClassicConfig cfg)
     : cfg_(cfg) {
@@ -59,35 +47,23 @@ std::unique_ptr<ClassicStack> ClassicStack::recover(nvm::NvmDevice& nvm,
   return s;
 }
 
-ClassicTxn ClassicStack::begin_txn() { return ClassicTxn{}; }
-
 void ClassicStack::commit(ClassicTxn& txn) {
-  TINCA_EXPECT(txn.open_, "commit of a closed transaction");
-  txn.open_ = false;
-  if (txn.order_.empty()) return;
-
+  TINCA_EXPECT(txn.open(), "commit of a closed transaction");
+  const std::vector<ClassicTxn::Write>& blocks = txn.writes();
   if (cfg_.journaling) {
-    std::vector<std::pair<std::uint64_t, std::vector<std::byte>>> blocks;
-    blocks.reserve(txn.order_.size());
-    for (std::uint64_t blkno : txn.order_) {
+    for (const auto& [blkno, data] : blocks)
       TINCA_EXPECT(blkno < journal_base_, "data write inside the journal area");
-      blocks.emplace_back(blkno, std::move(txn.blocks_[blkno]));
-    }
-    journal_->commit(blocks);
+    if (!blocks.empty()) journal_->commit(blocks);
   } else {
     // No-journal ablation: single direct write per block, no consistency.
-    for (std::uint64_t blkno : txn.order_)
-      cache_->write_block(blkno, txn.blocks_[blkno]);
+    for (const auto& [blkno, data] : blocks) cache_->write_block(blkno, data);
   }
-  txn.order_.clear();
-  txn.blocks_.clear();
+  txn.close();
 }
 
 void ClassicStack::abort(ClassicTxn& txn) {
-  TINCA_EXPECT(txn.open_, "abort of a closed transaction");
-  txn.open_ = false;
-  txn.order_.clear();
-  txn.blocks_.clear();
+  TINCA_EXPECT(txn.open(), "abort of a closed transaction");
+  txn.close();
 }
 
 void ClassicStack::read_block(std::uint64_t disk_blkno,

@@ -15,8 +15,8 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <vector>
 
+#include "blockdev/write_set.h"
 #include "classic/flashcache.h"
 #include "classic/journal.h"
 
@@ -36,22 +36,7 @@ struct ClassicConfig {
 };
 
 /// A transaction staged in DRAM for the Classic stack.
-class ClassicTxn {
- public:
-  /// Stage a 4 KB block update; staging a block twice keeps the latest.
-  void add(std::uint64_t disk_blkno, std::span<const std::byte> data);
-  /// Same, taking over the caller's buffer instead of copying it.
-  void add(std::uint64_t disk_blkno, std::vector<std::byte>&& data);
-
-  [[nodiscard]] std::size_t block_count() const { return order_.size(); }
-  [[nodiscard]] bool open() const { return open_; }
-
- private:
-  friend class ClassicStack;
-  bool open_ = true;
-  std::vector<std::uint64_t> order_;
-  std::unordered_map<std::uint64_t, std::vector<std::byte>> blocks_;
-};
+using ClassicTxn = blockdev::WriteSet;
 
 /// Journal + FlashCache + disk, exposing the same transactional surface as
 /// TincaCache so workloads can drive either stack.
@@ -68,10 +53,11 @@ class ClassicStack {
                                                ClassicConfig cfg = {});
 
   /// Begin a transaction.
-  ClassicTxn begin_txn();
+  [[nodiscard]] ClassicTxn begin_txn() const { return {}; }
 
-  /// Commit: with journaling, descriptor/log/commit blocks into the journal
-  /// (checkpointed later); without, direct cache writes.
+  /// Commit: with journaling, the write set goes to the journal as is
+  /// (descriptor/log/commit blocks, checkpointed later); without, direct
+  /// cache writes.
   void commit(ClassicTxn& txn);
 
   /// Abort a running transaction (nothing has been written).

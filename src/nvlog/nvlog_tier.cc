@@ -431,7 +431,7 @@ NvLogTier::DrainResult NvLogTier::drain_segment(std::uint64_t seq,
   // Coalesce: a record survives only if the index still points at it —
   // every overwritten version (same segment or older) is skipped, so one
   // hot block costs one backing-store write per drained epoch.
-  std::vector<std::pair<std::uint64_t, std::vector<std::byte>>> batch;
+  DrainSink::DrainBatch batch;
   std::uint64_t superseded = 0;
   for (const RecordMeta& r : seg.records) {
     if (r.is_commit) continue;
@@ -449,6 +449,7 @@ NvLogTier::DrainResult NvLogTier::drain_segment(std::uint64_t seq,
   // Ascending runs hit the disk's sequential fast path.
   std::sort(batch.begin(), batch.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
+  const std::uint64_t drained = batch.size();  // the sink may take `batch`
   const std::uint32_t shards = sink.drain_shard_count();
   const std::uint64_t apply_t0 = nvm_.clock().now();
   std::uint64_t modeled_apply_ns = 0;
@@ -488,7 +489,7 @@ NvLogTier::DrainResult NvLogTier::drain_segment(std::uint64_t seq,
   }
   seg.state = SegState::kDrained;
   ++stats_.drain_batches;
-  stats_.drained_records += batch.size();
+  stats_.drained_records += drained;
   stats_.coalesced_records += superseded;
   stats_.drain_lag.record(nvm_.clock().now() - seg.seal_ns);
   advance_drained_prefix();

@@ -61,6 +61,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "blockdev/write_set.h"
 #include "common/histogram.h"
 #include "nvm/nvm_device.h"
 
@@ -139,13 +140,13 @@ class NvLogTier {
   class DrainSink {
    public:
     /// One coalesced record run, ascending by blkno, whole 4 KB payloads.
-    using DrainBatch =
-        std::vector<std::pair<std::uint64_t, std::vector<std::byte>>>;
+    using DrainBatch = std::vector<blockdev::WriteSet::Write>;
 
     virtual ~DrainSink() = default;
 
     /// Apply `blocks` — ascending by blkno, whole 4 KB payloads — durably.
-    virtual void drain_apply(const DrainBatch& blocks) = 0;
+    /// The sink may take the payloads (or the whole batch) over.
+    virtual void drain_apply(DrainBatch& blocks) = 0;
 
     // Shard-affine parallel drains (DESIGN.md §16).  A sink over a sharded
     // inner exposes its partition so the tier can split a segment's
@@ -166,14 +167,15 @@ class NvLogTier {
     }
 
     /// Apply one batch per shard (indexed by shard, empty batches allowed);
-    /// each batch stays ascending.  Returns only once every batch is
-    /// durable.  The return value is the modeled apply duration in virtual
-    /// ns (max over shards when the sink drains them concurrently, sum when
-    /// sequential) recorded in NvLogStats::drain_apply; 0 means "no model —
-    /// use the clock delta the apply actually charged".
+    /// each batch stays ascending and may be taken over like drain_apply's.
+    /// Returns only once every batch is durable.  The return value is the
+    /// modeled apply duration in virtual ns (max over shards when the sink
+    /// drains them concurrently, sum when sequential) recorded in
+    /// NvLogStats::drain_apply; 0 means "no model — use the clock delta the
+    /// apply actually charged".
     virtual std::uint64_t drain_apply_shards(
-        const std::vector<DrainBatch>& shard_batches) {
-      for (const DrainBatch& b : shard_batches)
+        std::vector<DrainBatch>& shard_batches) {
+      for (DrainBatch& b : shard_batches)
         if (!b.empty()) drain_apply(b);
       return 0;
     }

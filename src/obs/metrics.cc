@@ -57,6 +57,14 @@ std::uint64_t MetricsRegistry::value(std::string_view name) const {
   return e.kind == Kind::kCounter ? *e.counter : e.gauge();
 }
 
+void MetricsRegistry::for_each_value(
+    const std::function<void(std::string_view, std::uint64_t)>& fn) const {
+  for (const Entry& e : entries_) {
+    if (e.kind == Kind::kCounter) fn(e.name, *e.counter);
+    if (e.kind == Kind::kGauge) fn(e.name, e.gauge());
+  }
+}
+
 const Histogram* MetricsRegistry::histogram(std::string_view name) const {
   const auto it = by_name_.find(std::string(name));
   if (it == by_name_.end()) return nullptr;

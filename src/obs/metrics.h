@@ -57,6 +57,11 @@ class MetricsRegistry {
   /// Number of registered metrics.
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
+  /// Call `fn(name, value)` for every counter and gauge, in registration
+  /// order (histograms are skipped) — a read with no JSON built.
+  void for_each_value(
+      const std::function<void(std::string_view, std::uint64_t)>& fn) const;
+
   /// JSON object: scalar members for counters/gauges, a summary object
   /// (count, sum, mean, min, p50, p95, p99, max) per histogram.
   [[nodiscard]] Json to_json() const;

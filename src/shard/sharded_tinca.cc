@@ -11,37 +11,6 @@
 
 namespace tinca::shard {
 
-namespace {
-
-/// The pointer span TincaCache's batch calls take; `subs` must not grow
-/// while the pointers are in use.
-std::vector<core::Transaction*> pointers_to(
-    std::vector<core::Transaction>& subs) {
-  std::vector<core::Transaction*> ptrs;
-  ptrs.reserve(subs.size());
-  for (core::Transaction& t : subs) ptrs.push_back(&t);
-  return ptrs;
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// ShardedTxn
-// ---------------------------------------------------------------------------
-
-void ShardedTxn::add(std::uint64_t disk_blkno,
-                     std::span<const std::byte> data) {
-  add(disk_blkno, std::vector<std::byte>(data.begin(), data.end()));
-}
-
-void ShardedTxn::add(std::uint64_t disk_blkno, std::vector<std::byte>&& data) {
-  TINCA_EXPECT(open_, "add to a closed transaction");
-  TINCA_EXPECT(data.size() == core::kBlockSize, "transaction blocks are 4 KB");
-  auto [it, inserted] = blocks_.try_emplace(disk_blkno);
-  if (inserted) order_.push_back(disk_blkno);
-  it->second = std::move(data);
-}
-
 // ---------------------------------------------------------------------------
 // Construction / format / recovery
 // ---------------------------------------------------------------------------
@@ -197,40 +166,31 @@ std::uint32_t ShardedTinca::shard_of(std::uint64_t disk_blkno) const {
 // Transactional primitives
 // ---------------------------------------------------------------------------
 
+std::optional<std::uint32_t> ShardedTinca::home_shard(
+    const ShardedTxn& txn) const {
+  const std::vector<ShardedTxn::Write>& w = txn.writes();
+  if (w.empty()) return std::nullopt;
+  const std::uint32_t sid = shard_of(w.front().first);
+  for (const auto& [blkno, data] : w)
+    if (shard_of(blkno) != sid) return std::nullopt;
+  return sid;
+}
+
 void ShardedTinca::commit(ShardedTxn& txn) {
-  TINCA_EXPECT(txn.open_, "commit of a closed transaction");
+  TINCA_EXPECT(txn.open(), "commit of a closed transaction");
   // With the batcher enabled, a single-shard transaction — the common case —
   // joins its home shard's group-commit queue instead of taking the shard
   // lock directly; concurrent committers then share one ring append, one
   // flush pass and one fence.  Everything else — cross-shard transactions,
   // or any transaction with the batcher off — is a commit_batch of one.
-  if (cfg_.group_commit && !txn.order_.empty()) {
-    const std::uint32_t sid = shard_of(txn.order_.front());
-    bool single = true;
-    for (std::uint64_t blkno : txn.order_)
-      if (shard_of(blkno) != sid) {
-        single = false;
-        break;
-      }
-    if (single) {
-      commit_grouped(sid, txn);
+  if (cfg_.group_commit) {
+    if (const std::optional<std::uint32_t> sid = home_shard(txn)) {
+      commit_grouped(*sid, txn);
       return;
     }
   }
   ShardedTxn* const one[] = {&txn};
   commit_batch(one);
-}
-
-std::vector<core::Transaction> ShardedTinca::shard_txns(
-    core::TincaCache& cache, const Portions& parts) {
-  std::vector<core::Transaction> subs;
-  subs.reserve(parts.size());
-  for (const auto& [t, blocks] : parts) {
-    core::Transaction& sub = subs.emplace_back(cache.tinca_init_txn());
-    for (std::uint64_t blkno : blocks)
-      sub.add(blkno, std::move(t->blocks_.at(blkno)));
-  }
-  return subs;
 }
 
 void ShardedTinca::commit_grouped(std::uint32_t sid, ShardedTxn& txn) {
@@ -270,7 +230,7 @@ void ShardedTinca::commit_grouped(std::uint32_t sid, ShardedTxn& txn) {
     const std::uint64_t cap = sh.cache->max_txn_blocks();
     while (!sh.queue.empty() && batch.size() < cfg_.group_max_batch) {
       GroupWaiter* w = sh.queue.front();
-      const std::uint64_t n = w->txn->order_.size();
+      const std::uint64_t n = w->txn->block_count();
       if (!batch.empty() && blocks + n > cap) break;
       sh.queue.pop_front();
       batch.push_back(w);
@@ -288,19 +248,16 @@ void ShardedTinca::commit_grouped(std::uint32_t sid, ShardedTxn& txn) {
         lock.lock();
       }
       TINCA_TRACE_SPAN(trace_, ts_publish_);
-      Portions parts;
-      parts.reserve(batch.size());
-      for (GroupWaiter* w : batch) parts.emplace_back(w->txn, w->txn->order_);
-      std::vector<core::Transaction> subs = shard_txns(*sh.cache, parts);
-      sh.cache->commit_group(pointers_to(subs));
+      std::vector<core::Transaction*> members;
+      members.reserve(batch.size());
+      for (GroupWaiter* w : batch) members.push_back(w->txn);
+      sh.cache->commit_group(members);
     } catch (...) {
       err = std::current_exception();
     }
     bl.lock();
     for (GroupWaiter* w : batch) {
-      w->txn->open_ = false;
-      w->txn->blocks_.clear();
-      w->txn->order_.clear();
+      w->txn->close();
       w->error = err;
       w->done = true;
     }
@@ -317,19 +274,26 @@ void ShardedTinca::commit_grouped(std::uint32_t sid, ShardedTxn& txn) {
 
 void ShardedTinca::commit_batch(std::span<ShardedTxn* const> txns) {
   for (ShardedTxn* t : txns)
-    TINCA_EXPECT(t->open_, "commit of a closed transaction");
+    TINCA_EXPECT(t->open(), "commit of a closed transaction");
   TINCA_TRACE_SPAN(trace_, ts_commit_);
 
-  // Split every member per home shard, then regroup by shard preserving
-  // member order — each shard commits its members' portions as one batch,
-  // in the same ascending shard order the locks are taken in.
+  // Regroup by home shard preserving member order — each shard commits its
+  // share as one batch, in the same ascending shard order the locks are
+  // taken in.  A member on one shard joins as is; a member spanning shards
+  // is split into per-shard pieces that take over its buffers (a block has
+  // one home shard, so each buffer moves exactly once).
   XShardGroups groups;
+  std::deque<core::Transaction> pieces;
   for (ShardedTxn* t : txns) {
-    std::map<std::uint32_t, std::vector<std::uint64_t>> mine;
-    for (std::uint64_t blkno : t->order_)
-      mine[shard_of(blkno)].push_back(blkno);
-    for (auto& [sid, blocks] : mine)
-      groups[sid].emplace_back(t, std::move(blocks));
+    if (const std::optional<std::uint32_t> sid = home_shard(*t)) {
+      groups[*sid].push_back(t);
+      continue;
+    }
+    std::map<std::uint32_t, std::vector<ShardedTxn::Write>> mine;
+    for (ShardedTxn::Write& w : t->take())
+      mine[shard_of(w.first)].push_back(std::move(w));
+    for (auto& [sid, writes] : mine)
+      groups[sid].push_back(&pieces.emplace_back(std::move(writes)));
   }
 
   if (groups.size() > 1) {
@@ -349,15 +313,10 @@ void ShardedTinca::commit_batch(std::span<ShardedTxn* const> txns) {
       lock.lock();
     }
     TINCA_TRACE_SPAN(trace_, ts_publish_);
-    std::vector<core::Transaction> subs = shard_txns(*sh.cache, parts);
-    sh.cache->commit_group(pointers_to(subs));
+    sh.cache->commit_group(parts);
   }
 
-  for (ShardedTxn* t : txns) {
-    t->open_ = false;
-    t->blocks_.clear();
-    t->order_.clear();
-  }
+  for (ShardedTxn* t : txns) t->close();
 }
 
 std::uint64_t ShardedTinca::dir_acquire_slot(std::uint32_t& cid_out) {
@@ -440,22 +399,17 @@ void ShardedTinca::commit_across_shards(const XShardGroups& groups,
   const std::uint32_t streams = shards_[0]->cache->num_streams();
 
   // Phase 1 — stage: one anchored batch per shard, each on one of that
-  // shard's commit streams.  The sub-transactions must outlive publish
-  // (which closes them), hence the per-shard store.
+  // shard's commit streams.
   std::uint64_t mask = 0;
   std::vector<DirDep> deps;
   deps.reserve(groups.size());
-  std::vector<std::vector<core::Transaction>> subs_store;
-  subs_store.reserve(groups.size());
   for (auto& [sid, parts] : groups) {
     core::TincaCache& cache = *shards_[sid]->cache;
-    std::vector<core::Transaction> subs = shard_txns(cache, parts);
-    const bool staged = cache.batch_stage(pointers_to(subs), cid);
+    const bool staged = cache.batch_stage(parts, cid);
     TINCA_ENSURE(staged, "cross-shard member with no blocks on its shard");
     mask |= 1ull << (static_cast<std::uint64_t>(sid) * streams +
                      cache.batch_stream());
     deps.push_back({sid, cache.batch_stream(), cache.batch_end()});
-    subs_store.push_back(std::move(subs));
   }
 
   // Phase 2 — flush every participant's batch (no fences yet).
@@ -496,10 +450,8 @@ void ShardedTinca::commit_across_shards(const XShardGroups& groups,
 }
 
 void ShardedTinca::abort(ShardedTxn& txn) {
-  TINCA_EXPECT(txn.open_, "abort of a closed transaction");
-  txn.open_ = false;
-  txn.blocks_.clear();
-  txn.order_.clear();
+  TINCA_EXPECT(txn.open(), "abort of a closed transaction");
+  txn.close();
 }
 
 // ---------------------------------------------------------------------------

@@ -43,9 +43,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -83,27 +83,7 @@ struct ShardedConfig {
 /// A running sharded transaction: blocks staged in DRAM, possibly spanning
 /// several shards.  Created by ShardedTinca::init_txn(); not thread-safe
 /// itself (one owner thread), but distinct transactions commit concurrently.
-class ShardedTxn {
- public:
-  /// Stage a 4 KB whole-block update; restaging a block keeps the latest.
-  void add(std::uint64_t disk_blkno, std::span<const std::byte> data);
-  /// Same, taking over the caller's buffer instead of copying it.
-  void add(std::uint64_t disk_blkno, std::vector<std::byte>&& data);
-
-  /// Number of distinct blocks staged.
-  [[nodiscard]] std::size_t block_count() const { return order_.size(); }
-
-  /// Whether the transaction is still open (not committed/aborted).
-  [[nodiscard]] bool open() const { return open_; }
-
- private:
-  friend class ShardedTinca;
-  ShardedTxn() = default;
-
-  bool open_ = true;
-  std::vector<std::uint64_t> order_;  ///< staging order, deduplicated
-  std::unordered_map<std::uint64_t, std::vector<std::byte>> blocks_;
-};
+using ShardedTxn = blockdev::WriteSet;
 
 class ShardedTinca;
 
@@ -366,23 +346,20 @@ class ShardedTinca {
   ShardedTinca(nvm::NvmDevice& nvm, blockdev::BlockDevice& disk,
                ShardedConfig cfg, bool do_format);
 
+  /// The one shard every block of `txn` homes to; nullopt when it spans
+  /// shards or is empty.
+  [[nodiscard]] std::optional<std::uint32_t> home_shard(
+      const ShardedTxn& txn) const;
+
   /// The leader/follower batched commit path for a single-shard transaction
   /// (cfg.group_commit on).  Blocks until the caller's transaction is
   /// durable or rethrows the batch's failure.
   void commit_grouped(std::uint32_t sid, ShardedTxn& txn);
 
-  /// One shard's share of a batch: the member transactions contributing
-  /// there, each with its block list for that shard.
-  using Portions =
-      std::vector<std::pair<ShardedTxn*, std::vector<std::uint64_t>>>;
-  /// Per-shard portions of a batch: shard id → Portions (ascending shard
-  /// order, hence lock order).
-  using XShardGroups = std::map<std::uint32_t, Portions>;
-  /// One shard's core::Transactions for `parts`, one per member portion,
-  /// taking over the members' staged buffers (a block has one home shard,
-  /// so each buffer moves exactly once).  Caller holds the shard's mutex.
-  static std::vector<core::Transaction> shard_txns(core::TincaCache& cache,
-                                                   const Portions& parts);
+  /// Per-shard shares of a batch in ascending shard order, hence lock
+  /// order: shard id → the members (or pieces of them) committing there,
+  /// in member order.
+  using XShardGroups = std::map<std::uint32_t, std::vector<core::Transaction*>>;
 
   /// Atomic cross-shard commit (DESIGN.md §15): one anchored batch per
   /// involved shard, one commit-directory record, ONE fence.  `groups` must

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <unordered_map>
 
 #include "common/bytes.h"
 #include "common/expect.h"
@@ -9,23 +10,6 @@
 #include "tinca/commit_directory.h"
 
 namespace tinca::core {
-
-// ---------------------------------------------------------------------------
-// Transaction (running, DRAM-resident)
-// ---------------------------------------------------------------------------
-
-void Transaction::add(std::uint64_t disk_blkno, std::span<const std::byte> data) {
-  add(disk_blkno, std::vector<std::byte>(data.begin(), data.end()));
-}
-
-void Transaction::add(std::uint64_t disk_blkno, std::vector<std::byte>&& data) {
-  TINCA_EXPECT(open_, "add to a closed transaction");
-  TINCA_EXPECT(data.size() == kBlockSize, "transaction blocks are 4 KB");
-  TINCA_EXPECT(disk_blkno <= CacheEntry::kMaxDiskBlock, "disk block number too large");
-  auto [it, inserted] = blocks_.try_emplace(disk_blkno);
-  if (inserted) order_.push_back(disk_blkno);
-  it->second = std::move(data);
-}
 
 // ---------------------------------------------------------------------------
 // Construction / format / recovery
@@ -793,14 +777,10 @@ std::uint64_t TincaCache::max_txn_blocks() const {
 // Transactional primitives (§4.1, §4.4)
 // ---------------------------------------------------------------------------
 
-Transaction TincaCache::tinca_init_txn() { return Transaction(next_txn_id_++); }
-
 void TincaCache::tinca_abort(Transaction& txn) {
   TINCA_TRACE_SPAN(trace_, ts_abort_);
-  TINCA_EXPECT(txn.open_, "abort of a closed transaction");
-  txn.open_ = false;
-  txn.blocks_.clear();
-  txn.order_.clear();
+  TINCA_EXPECT(txn.open(), "abort of a closed transaction");
+  txn.close();
   ++stats_.txns_aborted;
 }
 
@@ -933,11 +913,9 @@ void TincaCache::tinca_commit(Transaction& txn) {
 }
 
 void TincaCache::close_committed(Transaction& t) {
-  stats_.blocks_per_txn.record(t.order_.size());
+  stats_.blocks_per_txn.record(t.block_count());
   ++stats_.txns_committed;
-  t.open_ = false;
-  t.blocks_.clear();
-  t.order_.clear();
+  t.close();
 }
 
 void TincaCache::commit_group(std::span<Transaction* const> txns) {
@@ -955,8 +933,12 @@ void TincaCache::commit_group(std::span<Transaction* const> txns) {
 bool TincaCache::batch_stage(std::span<Transaction* const> txns,
                              std::uint32_t commit_id) {
   TINCA_ENSURE(!batch_.active, "a batch is already staged");
-  for (Transaction* t : txns)
-    TINCA_EXPECT(t != nullptr && t->open_, "commit of a closed transaction");
+  for (Transaction* t : txns) {
+    TINCA_EXPECT(t != nullptr && t->open(), "commit of a closed transaction");
+    for (const auto& [blkno, data] : t->writes())
+      TINCA_EXPECT(blkno <= CacheEntry::kMaxDiskBlock,
+                   "disk block number too large");
+  }
 
   // Merge the batch last-writer-wins, in span order: one install, one ring
   // record and one flushed data block per distinct disk block, however many
@@ -966,9 +948,9 @@ bool TincaCache::batch_stage(std::span<Transaction* const> txns,
   std::vector<std::uint64_t> order;
   std::unordered_map<std::uint64_t, std::span<const std::byte>> merged;
   for (Transaction* t : txns) {
-    for (std::uint64_t blkno : t->order_) {
-      const auto [mit, fresh] = merged.insert_or_assign(
-          blkno, std::span<const std::byte>(t->blocks_[blkno]));
+    for (const auto& [blkno, data] : t->writes()) {
+      const auto [mit, fresh] =
+          merged.insert_or_assign(blkno, std::span<const std::byte>(data));
       if (fresh)
         order.push_back(blkno);
       else

@@ -37,11 +37,11 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "blockdev/block_device.h"
+#include "blockdev/write_set.h"
 #include "cleaner/cleaner.h"
 #include "common/histogram.h"
 #include "nvm/nvm_device.h"
@@ -140,37 +140,10 @@ struct TincaCacheStats {
   Histogram commit_batch_size;     ///< transactions per committed batch
 };
 
-/// A running transaction: blocks staged in DRAM (paper Fig 6a).
-///
-/// `add()` stages a whole-block update; staging the same block twice keeps
-/// the latest contents.  The transaction is *running* until it is passed to
-/// tinca_commit (which turns it into the committing transaction) or
-/// tinca_abort.
-class Transaction {
- public:
-  /// Stage a 4 KB block update for `disk_blkno`; restaging keeps the latest.
-  void add(std::uint64_t disk_blkno, std::span<const std::byte> data);
-  /// Same, taking over the caller's buffer instead of copying it.
-  void add(std::uint64_t disk_blkno, std::vector<std::byte>&& data);
-
-  /// Number of distinct blocks staged.
-  [[nodiscard]] std::size_t block_count() const { return order_.size(); }
-
-  /// Whether the transaction is still open (not committed/aborted).
-  [[nodiscard]] bool open() const { return open_; }
-
-  /// Transaction id (diagnostic only).
-  [[nodiscard]] std::uint64_t id() const { return id_; }
-
- private:
-  friend class TincaCache;
-  explicit Transaction(std::uint64_t id) : id_(id) {}
-
-  std::uint64_t id_;
-  bool open_ = true;
-  std::vector<std::uint64_t> order_;  ///< staging order, deduplicated
-  std::unordered_map<std::uint64_t, std::vector<std::byte>> blocks_;
-};
+/// A running transaction: blocks staged in DRAM (paper Fig 6a).  It is
+/// *running* until it is passed to tinca_commit (which turns it into the
+/// committing transaction) or tinca_abort.
+using Transaction = blockdev::WriteSet;
 
 /// The transactional NVM disk cache.
 class TincaCache : private cleaner::CleanerClient {
@@ -241,7 +214,9 @@ class TincaCache : private cleaner::CleanerClient {
   /// Stage a batch: merge `txns` last-writer-wins, install every block and
   /// seal the batch on the next round-robin stream, tagged with `commit_id`
   /// (0 = plain self-committing batch).  Returns false when the merge is
-  /// empty (the transactions are closed; no batch is open).
+  /// empty (the transactions are closed; no batch is open).  Rejects a
+  /// closed member or a block past CacheEntry::kMaxDiskBlock before any
+  /// NVM store.
   bool batch_stage(std::span<Transaction* const> txns, std::uint32_t commit_id);
 
   /// Flush the staged batch's dirtied ranges (and the previous batch's
@@ -283,7 +258,7 @@ class TincaCache : private cleaner::CleanerClient {
   // --- Transactional primitives (paper §4.1) -------------------------------
 
   /// Initiate a running transaction resident in DRAM.
-  Transaction tinca_init_txn();
+  [[nodiscard]] Transaction tinca_init_txn() const { return {}; }
 
   /// Convert `txn` to the committing transaction and commit all its blocks
   /// into the NVM cache (§4.4).  On return the transaction is durable.
@@ -560,7 +535,6 @@ class TincaCache : private cleaner::CleanerClient {
   FreeMonitor free_entries_;
   FreeMonitor free_blocks_;
 
-  std::uint64_t next_txn_id_ = 1;
   std::uint64_t dirty_count_ = 0;  ///< valid+modified entries (incremental)
   std::uint64_t format_epoch_ = 0;  ///< cached superblock format epoch
 

@@ -133,7 +133,7 @@ TEST_P(BackendContract, CommitGroupWithTxnOpenRejected) {
   be.begin();
   be.stage(1, block_of(1));
   std::vector<GroupTxn> batch(1);
-  batch[0].writes.emplace_back(2, block_of(2));
+  batch[0].add(2, block_of(2));
   EXPECT_THROW(be.commit_group(batch), ContractViolation);
   be.abort();
 }
@@ -356,7 +356,7 @@ TEST(TxnBackendStaging, RestageKeepsFirstPositionAndLatestBytes) {
   be.stage(5, block_of(3));
   be.commit();
   ASSERT_EQ(be.groups.size(), 1u);
-  const auto& w = be.groups[0].writes;
+  const auto& w = be.groups[0].writes();
   ASSERT_EQ(w.size(), 2u);
   EXPECT_EQ(w[0].first, 5u);
   EXPECT_EQ(w[0].second, block_of(3));
@@ -386,8 +386,8 @@ TEST(TxnBackendStaging, ThrowingCommitClosesTheTxnAndHandsWritesOver) {
   be.stage(2, block_of(2));
   be.commit();
   ASSERT_EQ(be.groups.size(), 2u);
-  ASSERT_EQ(be.groups[1].writes.size(), 1u);
-  EXPECT_EQ(be.groups[1].writes[0].first, 2u);
+  ASSERT_EQ(be.groups[1].writes().size(), 1u);
+  EXPECT_EQ(be.groups[1].writes()[0].first, 2u);
 }
 
 TEST(StackBuilder, NamesIdentifyBackends) {

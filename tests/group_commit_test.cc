@@ -502,7 +502,7 @@ GroupTxn member_of(std::vector<std::pair<std::uint64_t, std::uint64_t>> spec) {
   GroupTxn t;
   for (const auto& [blkno, seed] : spec) {
     const std::vector<std::byte> b = block_of(seed);
-    t.writes.emplace_back(blkno, b);
+    t.add(blkno, b);
   }
   return t;
 }

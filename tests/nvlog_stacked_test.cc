@@ -11,6 +11,7 @@
 // idempotent against an inner that already applied some chunks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -247,6 +248,48 @@ TEST(NvLogStacked, RoundtripThroughBothInners) {
     EXPECT_EQ(fingerprint(buf), fingerprint(block_of(6)));
     be->read_block(11 * 16 + 3, buf);
     EXPECT_EQ(fingerprint(buf), fingerprint(block_of(48)));
+  }
+}
+
+// A segment drain larger than the inner's transaction capacity is split
+// into ⌈n / chunk⌉ inner commits, each taking its share of the drained
+// payloads; every block reads back afterwards.
+TEST(NvLogStacked, DrainLargerThanTheInnerTxnSplitsIntoChunks) {
+  sim::SimClock clock;
+  nvm::NvmDevice nvm(kNvmBytes, nvdimm_profile(), clock);
+  blockdev::MemBlockDevice disk(1 << 12);
+  backend::NvLogStackedConfig cfg = stacked_cfg(backend::NvLogInner::kTinca);
+  cfg.log.segment_bytes = 128 * 1024;  // 31 block records per segment
+  cfg.tinca.ring_bytes = 4096;
+  cfg.tinca.num_streams = 8;  // 16-record stream rings: 15-block commits
+  auto be = backend::NvLogStackedBackend::format(nvm, disk, cfg);
+  const std::uint64_t chunk = be->inner().max_txn_blocks();
+  const std::uint64_t n = 2 * chunk + 1;
+  ASSERT_EQ(chunk, 15u);
+
+  // Distinct blocks in transactions of at most 5, all in the first segment.
+  for (std::uint64_t b = 0; b < n;) {
+    be->begin();
+    for (const std::uint64_t end = std::min(n, b + 5); b < end; ++b) {
+      const auto data = block_of(b + 1);
+      be->stage(b * 3, data);
+    }
+    be->commit();
+  }
+  obs::MetricsRegistry reg;
+  be->register_metrics(reg, "");
+  const std::uint64_t batches = reg.value("tinca.commit.batches");
+
+  be->flush();
+  const nvlog::NvLogStats& st = be->tier().stats();
+  EXPECT_EQ(st.drain_batches, 1u);  // one segment ...
+  EXPECT_EQ(st.drained_records, n);  // ... draining all n blocks
+  EXPECT_EQ(reg.value("tinca.commit.batches") - batches,
+            (n + chunk - 1) / chunk);
+  std::vector<std::byte> buf(kBlock);
+  for (std::uint64_t b = 0; b < n; ++b) {
+    be->read_block(b * 3, buf);
+    EXPECT_EQ(fingerprint(buf), fingerprint(block_of(b + 1))) << b;
   }
 }
 

@@ -60,7 +60,7 @@ TEST(NvLogStackedStress, ConcurrentAbsorbersAndThreadedParallelDrains) {
         for (int b = 0; b < kBlocksPerTxn; ++b) {
           const std::uint64_t blkno = static_cast<std::uint64_t>(
               a * 256 + (t * kBlocksPerTxn + b) % 64);
-          txn.writes.emplace_back(blkno, block_of(a * 1'000'000 + t * 100 + b));
+          txn.add(blkno, block_of(a * 1'000'000 + t * 100 + b));
         }
         be->commit_group(std::span<backend::GroupTxn>(&txn, 1));
       }

@@ -39,9 +39,9 @@ std::vector<std::byte> block_of(std::uint64_t seed) {
 /// DrainSink that applies into a map and checks the batch contract.
 class MapSink : public NvLogTier::DrainSink {
  public:
-  void drain_apply(const std::vector<std::pair<std::uint64_t,
-                                               std::vector<std::byte>>>&
-                       blocks) override {
+  void drain_apply(std::vector<std::pair<std::uint64_t,
+                                         std::vector<std::byte>>>& blocks)
+      override {
     ++applies;
     for (std::size_t i = 1; i < blocks.size(); ++i)
       EXPECT_LT(blocks[i - 1].first, blocks[i].first)

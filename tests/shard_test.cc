@@ -107,6 +107,57 @@ TEST(ShardedTinca, RestagingABlockKeepsTheLatest) {
   EXPECT_EQ(fingerprint(buf), fingerprint(block_of(2)));
 }
 
+// Through the sharded front-end the 56-bit bound is the home shard's
+// batch_stage check: nothing reaches any shard's NVM, and the next commit
+// succeeds.
+TEST(ShardedTinca, DiskBlockPast56BitsRejectedBeforeAnyNvmStore) {
+  sim::SimClock clock;
+  nvm::NvmDevice dev(kNvmBytes, nvdimm_profile(), clock);
+  blockdev::MemBlockDevice disk(kDiskBlocks);
+  auto st = ShardedTinca::format(dev, disk, small_cfg());
+  st->write_block(1, block_of(1));
+
+  struct Snap {
+    std::uint64_t stores, bytes, clflush, sfence, atomic16, now;
+  };
+  const auto snap = [&] {
+    std::vector<Snap> v;
+    for (std::uint32_t s = 0; s < st->shard_count(); ++s) {
+      const nvm::NvmStats& n = st->shard_nvm(s).stats();
+      v.push_back({n.stores, n.bytes_stored, n.clflush, n.sfence, n.atomic16,
+                   st->shard_clock(s).now()});
+    }
+    const nvm::NvmStats& n = dev.stats();
+    v.push_back({n.stores, n.bytes_stored, n.clflush, n.sfence, n.atomic16,
+                 clock.now()});
+    return v;
+  };
+  const std::vector<Snap> before = snap();
+
+  auto txn = st->init_txn();
+  txn.add(core::CacheEntry::kMaxDiskBlock + 1, block_of(2));
+  EXPECT_THROW(st->commit(txn), ContractViolation);
+
+  const std::vector<Snap> after = snap();
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(after[i].stores, before[i].stores) << i;
+    EXPECT_EQ(after[i].bytes, before[i].bytes) << i;
+    EXPECT_EQ(after[i].clflush, before[i].clflush) << i;
+    EXPECT_EQ(after[i].sfence, before[i].sfence) << i;
+    EXPECT_EQ(after[i].atomic16, before[i].atomic16) << i;
+    EXPECT_EQ(after[i].now, before[i].now) << i;
+  }
+
+  auto next = st->init_txn();
+  next.add(2, block_of(3));
+  st->commit(next);
+  std::vector<std::byte> buf(core::kBlockSize);
+  st->read_block(2, buf);
+  EXPECT_EQ(fingerprint(buf), fingerprint(block_of(3)));
+  st->read_block(1, buf);
+  EXPECT_EQ(fingerprint(buf), fingerprint(block_of(1)));
+}
+
 TEST(ShardedTinca, AbortDiscardsEverything) {
   sim::SimClock clock;
   nvm::NvmDevice dev(kNvmBytes, nvdimm_profile(), clock);

@@ -114,6 +114,37 @@ TEST(TincaCache, OversizedTransactionRejected) {
   EXPECT_THROW(f.cache->tinca_commit(txn), ContractViolation);
 }
 
+// The 56-bit disk-block bound of the entry codec is checked at the top of
+// batch_stage: a commit naming a larger block is rejected before any NVM
+// store, and the cache commits normally afterwards.
+TEST(TincaCache, DiskBlockPast56BitsRejectedBeforeAnyNvmStore) {
+  Fixture f;
+  f.cache->write_block(1, f.block(1));
+  const nvm::NvmStats before = f.dev.stats();
+  const std::uint64_t now = f.clock.now();
+
+  auto txn = f.cache->tinca_init_txn();
+  txn.add(2, f.block(2));
+  txn.add(CacheEntry::kMaxDiskBlock + 1, f.block(3));
+  EXPECT_THROW(f.cache->tinca_commit(txn), ContractViolation);
+
+  const nvm::NvmStats after = f.dev.stats();
+  EXPECT_EQ(after.stores, before.stores);
+  EXPECT_EQ(after.bytes_stored, before.bytes_stored);
+  EXPECT_EQ(after.clflush, before.clflush);
+  EXPECT_EQ(after.sfence, before.sfence);
+  EXPECT_EQ(after.atomic16, before.atomic16);
+  EXPECT_EQ(after.lines_loaded, before.lines_loaded);
+  EXPECT_EQ(f.clock.now(), now);
+  EXPECT_FALSE(f.cache->cached(2));
+
+  auto next = f.cache->tinca_init_txn();
+  next.add(2, f.block(4));
+  f.cache->tinca_commit(next);
+  EXPECT_EQ(f.read(2), f.block(4));
+  EXPECT_EQ(f.read(1), f.block(1));
+}
+
 TEST(TincaCache, ReadMissFillsCacheClean) {
   Fixture f;
   auto data = f.block(77);

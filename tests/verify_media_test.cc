@@ -181,7 +181,7 @@ struct NvLogFixture {
   sim::SimClock clock;
   nvm::NvmDevice dev{kLogBytes, nvdimm_profile(), clock};
   struct Sink : nvlog::NvLogTier::DrainSink {
-    void drain_apply(const DrainBatch& blocks) override { (void)blocks; }
+    void drain_apply(DrainBatch& blocks) override { (void)blocks; }
   } sink;
   nvlog::NvLogConfig cfg;
   std::unique_ptr<nvlog::NvLogTier> tier;
