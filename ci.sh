@@ -68,6 +68,17 @@ trap 'rm -rf "$JSON_OUT"' EXIT
 cmake -B "$BENCH_DIR" -S . -DCMAKE_BUILD_TYPE=Release -DTINCA_WERROR=ON
 cmake --build "$BENCH_DIR" -j "$(nproc)"
 
+# Examples (Release): each commits through a Tinca stack and mounts it again
+# through TincaCache::recover, so a mount that throws fails CI here.
+# crash_recovery_demo also exits nonzero unless every crash it injects
+# recovers atomically (each block OLD or NEW, the transaction all-old or
+# all-new).  All four finish in well under a second.
+for example in crash_recovery_demo quickstart kvstore trace_replay; do
+  "$BENCH_DIR/examples/$example" > /dev/null
+done
+echo "examples: OK (crash_recovery_demo atomic, quickstart, kvstore," \
+  "trace_replay)"
+
 "$BENCH_DIR/bench/bench_micro_primitives" \
   --benchmark_filter=BM_CacheEntryCodec --benchmark_min_time=0.05 \
   --json "$JSON_OUT/micro.json" > /dev/null

@@ -8,6 +8,8 @@
 // demo shows what recovery found and what state the cache rolled back to.
 //
 // Run: ./build/examples/crash_recovery_demo
+// Exits nonzero unless every outcome is atomic: each block reads its OLD or
+// its NEW version, and the transaction is all-old or all-new.
 #include <cstdio>
 #include <vector>
 
@@ -37,7 +39,8 @@ const char* describe(const std::vector<std::byte>& got, std::uint64_t old_seed,
   return "CORRUPT";
 }
 
-void crash_at(std::uint64_t step, const char* label) {
+// Returns whether the outcome was atomic.
+bool crash_at(std::uint64_t step, const char* label) {
   sim::SimClock clock;
   nvm::NvmDevice nvm(8 << 20, pcm_profile(), clock);
   blockdev::MemBlockDevice disk(1 << 14);
@@ -78,19 +81,29 @@ void crash_at(std::uint64_t step, const char* label) {
                   recovered->stats().recovered_entries),
               static_cast<unsigned long long>(recovered->stats().revoked_blocks));
   std::vector<std::byte> got(core::kBlockSize);
-  bool any_new = false, any_old = false;
+  bool any_new = false, any_old = false, any_other = false;
   for (std::uint64_t b = 0; b < 3; ++b) {
     recovered->read_block(100 + b, got);
     const char* what = describe(got, 10 + b, 20 + b);
-    if (fingerprint(got) == fingerprint(block_of(20 + b))) any_new = true;
-    if (fingerprint(got) == fingerprint(block_of(10 + b))) any_old = true;
+    if (fingerprint(got) == fingerprint(block_of(20 + b)))
+      any_new = true;
+    else if (fingerprint(got) == fingerprint(block_of(10 + b)))
+      any_old = true;
+    else
+      any_other = true;
     std::printf("  block %llu -> %s\n", static_cast<unsigned long long>(100 + b),
                 what);
   }
-  if (any_new && any_old)
+  if (any_other) {
+    std::printf("  !! INCONSISTENT: a block reads neither version\n");
+    return false;
+  }
+  if (any_new && any_old) {
     std::printf("  !! INCONSISTENT: transaction applied partially\n");
-  else
-    std::printf("  atomic: transaction is all-%s\n", any_new ? "new" : "old");
+    return false;
+  }
+  std::printf("  atomic: transaction is all-%s\n", any_new ? "new" : "old");
+  return true;
 }
 
 }  // namespace
@@ -102,10 +115,14 @@ int main() {
 
   // Commit protocol points per block: begin, data-durable, entry-switched,
   // ring-recorded, head-moved (5); then one per role switch; then tail.
-  crash_at(2, "crash after first block's data is durable, entry not yet");
-  crash_at(9, "crash mid-transaction, two blocks already in the ring");
-  crash_at(14, "crash during role switches, before Tail moves");
-  crash_at(19, "crash after Tail published (transaction is durable)");
+  bool atomic = true;
+  atomic &= crash_at(
+      2, "crash after first block's data is durable, entry not yet");
+  atomic &= crash_at(
+      9, "crash mid-transaction, two blocks already in the ring");
+  atomic &= crash_at(14, "crash during role switches, before Tail moves");
+  atomic &= crash_at(
+      19, "crash after Tail published (transaction is durable)");
   std::printf("\nEvery outcome above must be atomic: all-old or all-new.\n");
-  return 0;
+  return atomic ? 0 : 1;
 }

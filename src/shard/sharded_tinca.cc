@@ -369,6 +369,10 @@ std::uint64_t ShardedTinca::dir_acquire_slot(std::uint32_t& cid_out) {
 void ShardedTinca::commit_across_shards(const XShardGroups& groups,
                                         std::uint64_t member_count) {
   TINCA_EXPECT(groups.size() >= 2, "cross-shard commit needs two shards");
+  // Every share passes batch_stage's checks before anything is acquired or
+  // staged: a later shard rejecting its share would otherwise leave the
+  // earlier shards' batches staged, and their next commits refused.
+  for (auto& [sid, parts] : groups) shards_[sid]->cache->batch_check(parts);
 
   // Directory slot + commit id first, while holding NO shard locks — the
   // slow path inside (forcing hint syncs) takes shard mutexes itself.

@@ -141,11 +141,15 @@ void TincaCache::load_for_recovery() {
                "stream count changed since format");
   format_epoch_ = nvm_.load8(Layout::kFormatEpochOff);
 
-  // 2. Load every stream's durable commit hint and the whole entry table.
+  // 2. Load every stream's durable commit hint and the whole entry table,
+  //    the table in one read (four entries per charged line).
   for (RingBuffer& ring : rings_) ring.load();
   dirty_count_ = 0;
+  const std::span<const std::byte> table =
+      nvm_.read_view(layout_.entry_table_off, layout_.num_blocks * 16);
   for (std::uint32_t slot = 0; slot < layout_.num_blocks; ++slot) {
-    mirror_[slot] = read_entry_from_nvm(slot);
+    mirror_[slot] = CacheEntry::decode(
+        table.subspan(std::size_t{slot} * 16).first<16>());
     if (mirror_[slot].valid && mirror_[slot].modified) ++dirty_count_;
   }
 
@@ -156,23 +160,29 @@ void TincaCache::load_for_recovery() {
     if (mirror_[slot].valid) index_.emplace(mirror_[slot].disk_blkno, slot);
 }
 
-std::uint64_t TincaCache::block_fp(std::uint32_t nvm_block) const {
-  return fingerprint(
-      nvm_.read_view(layout_.data_block_off(nvm_block), kBlockSize));
+// A mount writes no data block between the scan's placement check and the
+// roll-forward, so each block is read and hashed once, then remembered.
+std::uint64_t TincaCache::block_fp(RecoveryState& st,
+                                   std::uint32_t nvm_block) const {
+  const auto [it, fresh] = st.block_fps.try_emplace(nvm_block, 0);
+  if (fresh)
+    it->second = fingerprint(
+        nvm_.read_view(layout_.data_block_off(nvm_block), kBlockSize));
+  return it->second;
 }
 
 // Whether a committed record's block can still be surfaced whole: the entry
 // still points at it (or a LATER in-flight COW moved the entry onward —
 // log-role with prev == the record's block) and the data matches the sealed
 // fingerprint.
-bool TincaCache::record_placed(const RingRecord& r) const {
+bool TincaCache::record_placed(RecoveryState& st, const RingRecord& r) const {
   if (r.curr_nvm >= layout_.num_blocks) return false;
   const std::uint32_t slot = index_.find(r.disk_blkno);
   if (slot == BlockIndex::kNone) return false;
   const CacheEntry& e = mirror_[slot];
   const bool entry_ok = e.curr_nvm == r.curr_nvm ||
                         (e.role == Role::kLog && e.prev_nvm == r.curr_nvm);
-  return entry_ok && block_fp(r.curr_nvm) == r.payload_fp;
+  return entry_ok && block_fp(st, r.curr_nvm) == r.payload_fp;
 }
 
 TincaCache::RecoveryScan TincaCache::recovery_scan() {
@@ -227,7 +237,8 @@ TincaCache::RecoveryScan TincaCache::recovery_scan() {
         recovery_->batches[static_cast<std::size_t>(recovery_->last)];
     recovery_->last_placed = true;
     for (const RingRecord& r : newest.records)
-      recovery_->last_placed = recovery_->last_placed && record_placed(r);
+      recovery_->last_placed =
+          recovery_->last_placed && record_placed(*recovery_, r);
   }
 
   // Report the anchored batches for the coordinator's adjudication.
@@ -299,7 +310,7 @@ void TincaCache::recovery_apply(
       CacheEntry e = mirror_[slot];
       if (!e.valid || e.role != Role::kLog || e.curr_nvm != r.curr_nvm)
         continue;
-      if (block_fp(r.curr_nvm) != r.payload_fp) continue;
+      if (block_fp(*st, r.curr_nvm) != r.payload_fp) continue;
       e.role = Role::kBuffer;
       e.prev_clean = false;
       write_entry(slot, e);
@@ -326,26 +337,29 @@ void TincaCache::recovery_apply(
   //    but whose ring record did not (record and entry are both unfenced
   //    until the batch flush, so either can reach the media alone); also
   //    sheds clean entries, whose data was never explicitly flushed
-  //    (DESIGN.md §5).
+  //    (DESIGN.md §5b).  A drop is a staged store that step 8's flush pass
+  //    makes durable: a drop a crash loses is redone by the next mount,
+  //    before any slot or block is reused.
   for (std::uint32_t slot = 0; slot < layout_.num_blocks; ++slot) {
     CacheEntry& e = mirror_[slot];
     if (!e.valid) continue;
     if (e.role == Role::kLog) revoke_slot(slot);
     if (e.valid && !e.modified) {
       index_.erase(e.disk_blkno);
-      invalidate_entry(slot);
+      invalidate_entry_staged(slot);
       ++stats_.dropped_clean_entries;
     }
   }
 
-  // 8. Durably pin the adjudicated entry table.  A *clean* remount arrives
-  //    with the previous life's staged publish metadata still unflushed: the
-  //    accepted (volatile) side of such an entry line is a role switch whose
-  //    durable side is still the log-role install.  The epoch bump below
-  //    retires the ring records that explain that log side, so if a later
-  //    power cut reverted the line, the sweep would roll the entry back to a
-  //    previous version whose NVM block may long since have been recycled.
-  //    One flush pass over the table closes the hole.
+  // 8. Durably pin the adjudicated entry table, step 7's drops included.  A
+  //    *clean* remount arrives with the previous life's staged publish
+  //    metadata still unflushed: the accepted (volatile) side of such an
+  //    entry line is a role switch whose durable side is still the log-role
+  //    install.  The epoch bump below retires the ring records that explain
+  //    that log side, so if a later power cut reverted the line, the sweep
+  //    would roll the entry back to a previous version whose NVM block may
+  //    long since have been recycled.  One flush pass over the table closes
+  //    the hole.
   nvm_.clflush(layout_.entry_table_off,
                layout_.data_off - layout_.entry_table_off);
   nvm_.sfence();
@@ -401,12 +415,6 @@ void TincaCache::recovery_apply(
 // Entry plumbing
 // ---------------------------------------------------------------------------
 
-CacheEntry TincaCache::read_entry_from_nvm(std::uint32_t slot) const {
-  std::array<std::byte, 16> raw{};
-  nvm_.load(layout_.entry_off(slot), raw);
-  return CacheEntry::decode(raw);
-}
-
 void TincaCache::write_entry(std::uint32_t slot, const CacheEntry& e) {
   // Every persistent dirty-bit transition funnels through here (or through
   // invalidate_entry), which is what keeps the incremental dirty counter
@@ -423,12 +431,8 @@ void TincaCache::write_entry(std::uint32_t slot, const CacheEntry& e) {
 }
 
 void TincaCache::invalidate_entry(std::uint32_t slot) {
-  if (mirror_[slot].valid && mirror_[slot].modified) --dirty_count_;
-  mirror_[slot] = CacheEntry{};
-  const std::array<std::byte, 16> zeros{};
-  const std::uint64_t off = layout_.entry_off(slot);
-  nvm_.atomic_store16(off, zeros);
-  nvm_.persist(off, 16);
+  invalidate_entry_staged(slot);
+  nvm_.persist(layout_.entry_off(slot), 16);
 }
 
 void TincaCache::write_data_block(std::uint32_t nvm_block,
@@ -440,7 +444,8 @@ void TincaCache::write_data_block(std::uint32_t nvm_block,
 
 // Staged variants (DESIGN.md §14): same stores and DRAM bookkeeping, but no
 // clflush/sfence — the dirtied range is queued for the batch flush pass, so a
-// whole batch pays one fence instead of one per store.
+// whole batch pays one fence instead of one per store.  Recovery's staged
+// drops queue nothing: its flush pass covers the whole entry table.
 
 void TincaCache::write_entry_staged(
     std::uint32_t slot, const CacheEntry& e,
@@ -454,6 +459,13 @@ void TincaCache::write_entry_staged(
   const std::uint64_t off = layout_.entry_off(slot);
   nvm_.atomic_store16(off, raw);
   ranges.emplace_back(off, 16);
+}
+
+void TincaCache::invalidate_entry_staged(std::uint32_t slot) {
+  if (mirror_[slot].valid && mirror_[slot].modified) --dirty_count_;
+  mirror_[slot] = CacheEntry{};
+  const std::array<std::byte, 16> zeros{};
+  nvm_.atomic_store16(layout_.entry_off(slot), zeros);
 }
 
 void TincaCache::write_data_block_staged(std::uint32_t nvm_block,
@@ -928,37 +940,61 @@ void TincaCache::commit_group(std::span<Transaction* const> txns) {
   batch_publish();
 }
 
-// Phase 1 (stages A+B of DESIGN.md §14): merge, install and seal on the next
-// round-robin stream.  Nothing flushed yet.
-bool TincaCache::batch_stage(std::span<Transaction* const> txns,
-                             std::uint32_t commit_id) {
-  TINCA_ENSURE(!batch_.active, "a batch is already staged");
+namespace {
+
+// A batch merged last-writer-wins: its distinct blocks in first-staged
+// order, each block's last-staged bytes, and how many writes a later one
+// replaced.
+struct MergedBatch {
+  std::vector<std::uint64_t> order;
+  std::unordered_map<std::uint64_t, std::span<const std::byte>> data;
+  std::uint64_t superseded = 0;
+};
+
+// batch_stage's pre-store checks, then the merge, in span order: one
+// install, one ring record and one flushed data block per distinct disk
+// block, however many transactions staged it.  (Required for correctness,
+// not just speed: two COWs of the same block in one batch would leave the
+// middle version unreachable for rollback.)
+MergedBatch merge_checked(std::span<Transaction* const> txns,
+                          std::uint64_t max_blocks) {
   for (Transaction* t : txns) {
     TINCA_EXPECT(t != nullptr && t->open(), "commit of a closed transaction");
     for (const auto& [blkno, data] : t->writes())
       TINCA_EXPECT(blkno <= CacheEntry::kMaxDiskBlock,
                    "disk block number too large");
   }
-
-  // Merge the batch last-writer-wins, in span order: one install, one ring
-  // record and one flushed data block per distinct disk block, however many
-  // transactions staged it.  (Required for correctness, not just speed: two
-  // COWs of the same block in one batch would leave the middle version
-  // unreachable for rollback.)
-  std::vector<std::uint64_t> order;
-  std::unordered_map<std::uint64_t, std::span<const std::byte>> merged;
+  MergedBatch m;
   for (Transaction* t : txns) {
     for (const auto& [blkno, data] : t->writes()) {
       const auto [mit, fresh] =
-          merged.insert_or_assign(blkno, std::span<const std::byte>(data));
+          m.data.insert_or_assign(blkno, std::span<const std::byte>(data));
       if (fresh)
-        order.push_back(blkno);
+        m.order.push_back(blkno);
       else
-        ++stats_.group_merged_writes;
+        ++m.superseded;
     }
   }
+  TINCA_EXPECT(m.order.size() <= max_blocks,
+               "batch exceeds the cache's committable size");
+  return m;
+}
 
-  const std::size_t n = order.size();
+}  // namespace
+
+void TincaCache::batch_check(std::span<Transaction* const> txns) const {
+  (void)merge_checked(txns, max_txn_blocks());
+}
+
+// Phase 1 (stages A+B of DESIGN.md §14): merge, install and seal on the next
+// round-robin stream.  Nothing flushed yet.
+bool TincaCache::batch_stage(std::span<Transaction* const> txns,
+                             std::uint32_t commit_id) {
+  TINCA_ENSURE(!batch_.active, "a batch is already staged");
+  MergedBatch m = merge_checked(txns, max_txn_blocks());
+  stats_.group_merged_writes += m.superseded;
+
+  const std::size_t n = m.order.size();
   if (n == 0) {
     for (Transaction* t : txns) close_committed(*t);
     if (!txns.empty()) {
@@ -967,8 +1003,6 @@ bool TincaCache::batch_stage(std::span<Transaction* const> txns,
     }
     return false;
   }
-  TINCA_EXPECT(n <= max_txn_blocks(),
-               "batch exceeds the cache's committable size");
 
   // Stream assignment: plain round-robin — batches never span streams, and
   // the owner mutex serializes commits, so rotation alone spreads the ring
@@ -991,7 +1025,8 @@ bool TincaCache::batch_stage(std::span<Transaction* const> txns,
   // batch sequence and the (possibly zero) cross-stream commit id.
   {
     TINCA_TRACE_SPAN(trace_, ts_batch_append_);
-    for (std::uint64_t blkno : order) stage_block_install(blkno, merged[blkno]);
+    for (std::uint64_t blkno : m.order)
+      stage_block_install(blkno, m.data[blkno]);
     const std::uint64_t tag =
         static_cast<std::uint64_t>(batch_seq_++) |
         (static_cast<std::uint64_t>(commit_id) << 32);
@@ -1000,7 +1035,7 @@ bool TincaCache::batch_stage(std::span<Transaction* const> txns,
   batch_.end = ring.head();
   nvm_.injector.point();  // CP: batch staged and sealed, nothing fenced
 
-  batch_.order = std::move(order);
+  batch_.order = std::move(m.order);
   batch_.txns.assign(txns.begin(), txns.end());
   batch_.active = true;
   return true;

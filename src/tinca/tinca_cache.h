@@ -37,6 +37,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -218,6 +219,14 @@ class TincaCache : private cleaner::CleanerClient {
   /// closed member or a block past CacheEntry::kMaxDiskBlock before any
   /// NVM store.
   bool batch_stage(std::span<Transaction* const> txns, std::uint32_t commit_id);
+
+  /// Apply batch_stage's checks to `txns` and touch nothing: throws
+  /// ContractViolation where batch_stage would reject them (a closed member,
+  /// a block past CacheEntry::kMaxDiskBlock, more merged blocks than
+  /// max_txn_blocks()).  A cross-cache coordinator checks every
+  /// participant's share before any stages, so no rejection can strand
+  /// another participant's staged batch.
+  void batch_check(std::span<Transaction* const> txns) const;
 
   /// Flush the staged batch's dirtied ranges (and the previous batch's
   /// pending publish metadata).  NO fence — the caller's single sfence is
@@ -445,9 +454,13 @@ class TincaCache : private cleaner::CleanerClient {
     std::vector<std::vector<RingRecord>> runs;    ///< per-stream in-flight
     int last = -1;          ///< index of the max-seq (newest) batch
     bool last_placed = false;
+    /// NVM block → fingerprint, for every block hashed so far this mount.
+    std::unordered_map<std::uint32_t, std::uint64_t> block_fps;
   };
-  [[nodiscard]] std::uint64_t block_fp(std::uint32_t nvm_block) const;
-  [[nodiscard]] bool record_placed(const RingRecord& r) const;
+  [[nodiscard]] std::uint64_t block_fp(RecoveryState& st,
+                                       std::uint32_t nvm_block) const;
+  [[nodiscard]] bool record_placed(RecoveryState& st,
+                                   const RingRecord& r) const;
 
   // Commit-protocol stages (DESIGN.md §14).  stage_block_install stages one
   // merged block's COW/miss install (unflushed stores, ranges collected into
@@ -463,13 +476,14 @@ class TincaCache : private cleaner::CleanerClient {
   // Forced by ring-full backpressure and by eviction of a newest-batch block.
   void hint_sync();
 
-  // Entry plumbing.  The _staged variants store without flushing and append
-  // the dirtied byte range to `ranges` for a later batch flush pass.
+  // Entry plumbing.  The _staged variants store without flushing; the
+  // entry variant appends the dirtied byte range to `ranges` for a later
+  // batch flush pass, and recovery's table-wide pass covers the other.
   void write_entry(std::uint32_t slot, const CacheEntry& e);
   void write_entry_staged(std::uint32_t slot, const CacheEntry& e,
                           std::vector<std::pair<std::uint64_t, std::uint64_t>>& ranges);
   void invalidate_entry(std::uint32_t slot);
-  [[nodiscard]] CacheEntry read_entry_from_nvm(std::uint32_t slot) const;
+  void invalidate_entry_staged(std::uint32_t slot);
   void write_data_block(std::uint32_t nvm_block, std::span<const std::byte> data);
   void write_data_block_staged(std::uint32_t nvm_block,
                                std::span<const std::byte> data);

@@ -109,7 +109,9 @@ TEST(ShardedTinca, RestagingABlockKeepsTheLatest) {
 
 // Through the sharded front-end the 56-bit bound is the home shard's
 // batch_stage check: nothing reaches any shard's NVM, and the next commit
-// succeeds.
+// succeeds.  A cross-shard transaction whose out-of-range block homes to a
+// higher shard than its valid block is rejected before the lower shard
+// stages, so that shard's next commit is not refused.
 TEST(ShardedTinca, DiskBlockPast56BitsRejectedBeforeAnyNvmStore) {
   sim::SimClock clock;
   nvm::NvmDevice dev(kNvmBytes, nvdimm_profile(), clock);
@@ -132,20 +134,24 @@ TEST(ShardedTinca, DiskBlockPast56BitsRejectedBeforeAnyNvmStore) {
                  clock.now()});
     return v;
   };
-  const std::vector<Snap> before = snap();
+  const auto expect_unmoved = [&](const std::vector<Snap>& before) {
+    const std::vector<Snap> after = snap();
+    for (std::size_t i = 0; i < before.size(); ++i) {
+      EXPECT_EQ(after[i].stores, before[i].stores) << i;
+      EXPECT_EQ(after[i].bytes, before[i].bytes) << i;
+      EXPECT_EQ(after[i].clflush, before[i].clflush) << i;
+      EXPECT_EQ(after[i].sfence, before[i].sfence) << i;
+      EXPECT_EQ(after[i].atomic16, before[i].atomic16) << i;
+      EXPECT_EQ(after[i].now, before[i].now) << i;
+    }
+  };
 
-  auto txn = st->init_txn();
-  txn.add(core::CacheEntry::kMaxDiskBlock + 1, block_of(2));
-  EXPECT_THROW(st->commit(txn), ContractViolation);
-
-  const std::vector<Snap> after = snap();
-  for (std::size_t i = 0; i < before.size(); ++i) {
-    EXPECT_EQ(after[i].stores, before[i].stores) << i;
-    EXPECT_EQ(after[i].bytes, before[i].bytes) << i;
-    EXPECT_EQ(after[i].clflush, before[i].clflush) << i;
-    EXPECT_EQ(after[i].sfence, before[i].sfence) << i;
-    EXPECT_EQ(after[i].atomic16, before[i].atomic16) << i;
-    EXPECT_EQ(after[i].now, before[i].now) << i;
+  {
+    const std::vector<Snap> before = snap();
+    auto txn = st->init_txn();
+    txn.add(core::CacheEntry::kMaxDiskBlock + 1, block_of(2));
+    EXPECT_THROW(st->commit(txn), ContractViolation);
+    expect_unmoved(before);
   }
 
   auto next = st->init_txn();
@@ -156,6 +162,27 @@ TEST(ShardedTinca, DiskBlockPast56BitsRejectedBeforeAnyNvmStore) {
   EXPECT_EQ(fingerprint(buf), fingerprint(block_of(3)));
   st->read_block(1, buf);
   EXPECT_EQ(fingerprint(buf), fingerprint(block_of(1)));
+
+  // Cross-shard: a valid block on shard 0, the out-of-range one on a higher
+  // shard, which batch_stage reaches only after shard 0 has staged.
+  std::uint64_t low = 3;
+  while (st->shard_of(low) != 0) ++low;
+  std::uint64_t high = core::CacheEntry::kMaxDiskBlock + 1;
+  while (st->shard_of(high) == 0) ++high;
+  {
+    const std::vector<Snap> before = snap();
+    auto txn = st->init_txn();
+    txn.add(low, block_of(4));
+    txn.add(high, block_of(5));
+    EXPECT_THROW(st->commit(txn), ContractViolation);
+    expect_unmoved(before);
+  }
+
+  auto retry = st->init_txn();
+  retry.add(low, block_of(6));
+  st->commit(retry);
+  st->read_block(low, buf);
+  EXPECT_EQ(fingerprint(buf), fingerprint(block_of(6)));
 }
 
 TEST(ShardedTinca, AbortDiscardsEverything) {

@@ -63,15 +63,24 @@ struct RunResult {
   bool crashed = false;
 };
 
+/// Disk-only blocks a history can read into the cache as clean fills: two
+/// after each commit, at kFillBase + 2t and kFillBase + 2t + 1.
+constexpr std::uint64_t kFillBase = 200;
+constexpr std::uint64_t kFillSeed = 1000;
+
 RunResult run_history(nvm::NvmDevice& dev, blockdev::MemBlockDevice& disk,
-                      std::uint64_t crash_step) {
+                      std::uint64_t crash_step, bool read_fills = false) {
   auto cache = TincaCache::format(dev, disk, TincaConfig{.ring_bytes = kRing});
   dev.injector.disarm();
   if (crash_step > 0) dev.injector.arm(crash_step);
 
   RunResult result;
   const auto history = make_history(6, 5);
+  if (read_fills)
+    for (std::uint64_t i = 0; i < 2 * history.size(); ++i)
+      disk.write(kFillBase + i, block_of(kFillSeed + i));
   try {
+    std::vector<std::byte> buf(kBlockSize);
     for (const auto& txn_spec : history) {
       auto txn = cache->tinca_init_txn();
       for (const auto& [blkno, seed] : txn_spec) txn.add(blkno, block_of(seed));
@@ -79,6 +88,11 @@ RunResult run_history(nvm::NvmDevice& dev, blockdev::MemBlockDevice& disk,
       // The commit returned: everything in it is now expected state.
       for (const auto& [blkno, seed] : txn_spec) result.committed[blkno] = seed;
       ++result.committed_txns;
+      if (read_fills) {
+        const std::uint64_t t = result.committed_txns - 1;
+        cache->read_block(kFillBase + 2 * t, buf);
+        cache->read_block(kFillBase + 2 * t + 1, buf);
+      }
     }
   } catch (const nvm::CrashException&) {
     result.crashed = true;
@@ -176,21 +190,25 @@ INSTANTIATE_TEST_SUITE_P(SurvivalPatterns, CrashSweep,
 
 TEST(TincaCrash, RecoveryIsIdempotentUnderRepeatedCrashes) {
   // Crash during the run, then crash *during recovery* at every recovery
-  // step, recover again, and check consistency still holds.
+  // step, recover again, and check consistency still holds.  The history
+  // reads clean fills between commits, so the mounts' step 7 sheds clean
+  // entries in between revoke points: a crash there can lose those staged
+  // drops, and the next mount must redo them.
   sim::SimClock probe_clock;
   nvm::NvmDevice probe_dev(kNvmBytes, nvdimm_profile(), probe_clock);
   blockdev::MemBlockDevice probe_disk(1 << 16);
-  const RunResult full = run_history(probe_dev, probe_disk, 0);
+  const RunResult full = run_history(probe_dev, probe_disk, 0, true);
   const Expected universe = whole_universe();
 
   Rng rng(77);
+  std::uint64_t dropped = 0;
   // Sample a spread of crash steps (full sweep of the cross product would
   // be quadratic).
   for (std::uint64_t step = 7; step <= full.steps; step += 13) {
     sim::SimClock clock;
     nvm::NvmDevice dev(kNvmBytes, nvdimm_profile(), clock);
     blockdev::MemBlockDevice disk(1 << 16);
-    const RunResult run = run_history(dev, disk, step);
+    const RunResult run = run_history(dev, disk, step, true);
     ASSERT_TRUE(run.crashed);
     dev.crash(rng, 0.5);
 
@@ -209,10 +227,49 @@ TEST(TincaCrash, RecoveryIsIdempotentUnderRepeatedCrashes) {
     dev.injector.disarm();
     if (!recovered)
       recovered = TincaCache::recover(dev, disk, TincaConfig{.ring_bytes = kRing});
+    dropped += recovered->stats().dropped_clean_entries;
+
+    // The final mount left nothing staged: a power cut right after it,
+    // before any read adds a fill, loses none of its drops, so a second
+    // mount finds no clean entry to shed, keeps the same entries and reads
+    // the same blocks.  Snapshot reads take the first mount's view without
+    // filling the cache.
+    ASSERT_EQ(dev.dirty_lines(), 0u) << "step " << step;
+    std::vector<std::byte> buf(kBlockSize);
+    std::vector<std::uint64_t> blocks;
+    for (const auto& [blkno, _] : universe) blocks.push_back(blkno);
+    for (std::uint64_t i = 0; i < 2 * run.committed_txns; ++i)
+      blocks.push_back(kFillBase + i);
+    std::map<std::uint64_t, std::uint64_t> first_view;  // blkno -> fp
+    const SnapshotPin pin = recovered->snapshot_pin();
+    ASSERT_TRUE(pin.valid());
+    for (std::uint64_t blkno : blocks) {
+      recovered->snapshot_read(pin, blkno, buf);
+      first_view[blkno] = fingerprint(buf);
+    }
+    recovered->snapshot_unpin(pin);
+    const std::uint64_t kept = recovered->stats().recovered_entries;
+    recovered.reset();
+    dev.crash_discard_all();
+    recovered =
+        TincaCache::recover(dev, disk, TincaConfig{.ring_bytes = kRing});
+    EXPECT_EQ(recovered->stats().dropped_clean_entries, 0u) << "step " << step;
+    EXPECT_EQ(recovered->stats().revoked_blocks, 0u) << "step " << step;
+    EXPECT_EQ(recovered->stats().recovered_entries, kept) << "step " << step;
+    for (std::uint64_t blkno : blocks) {
+      recovered->read_block(blkno, buf);
+      ASSERT_EQ(fingerprint(buf), first_view[blkno])
+          << "block " << blkno << " changed across a remount at step "
+          << step;
+    }
 
     // All committed-before-crash data must still be intact (the final txn
-    // may or may not have landed, as in the sweep test).
-    std::vector<std::byte> buf(kBlockSize);
+    // may or may not have landed, as in the sweep test), and every fill
+    // reads back its disk copy.
+    for (std::uint64_t i = 0; i < 2 * run.committed_txns; ++i)
+      ASSERT_EQ(first_view[kFillBase + i], fingerprint(block_of(kFillSeed + i)))
+          << "fill " << kFillBase + i << " after repeated crashes at step "
+          << step;
     for (const auto& [blkno, seed] : run.committed) {
       recovered->read_block(blkno, buf);
       const auto history = make_history(6, 5);
@@ -231,6 +288,7 @@ TEST(TincaCrash, RecoveryIsIdempotentUnderRepeatedCrashes) {
           << step;
     }
   }
+  EXPECT_GT(dropped, 0u) << "no mount of the sweep shed a clean fill";
 }
 
 TEST(TincaCrash, WriteMissAbortedMidCommitIsDiscardedWholly) {

@@ -5,6 +5,7 @@
                           [--under perfbench::BackendShim::commit] [--top 30]
     tools/host_profile.py --samples FILE [--under FRAME]   # re-read a run
     tools/host_profile.py --samples FILE --callers '__nss_database_lookup'
+    tools/host_profile.py --samples FILE --lines 'perfbench::BackendShim::commit'
 
 Run from the repository root.  The tool
 
@@ -13,11 +14,16 @@ Run from the repository root.  The tool
      modified);
   2. compiles tools/host_sampler.c into a shared object and runs the driver
      (--trace 0) with it preloaded: every millisecond of the process's own
-     CPU time, ITIMER_PROF interrupts it and the sampler records the PC and
-     the frame-pointer chain of return addresses (the kernel checks CPU
-     timers on its tick, so the report prints the interval it achieved);
+     CPU time, ITIMER_PROF interrupts it and the sampler records the PC, the
+     frame-pointer chain of return addresses (the kernel checks CPU timers
+     on its tick, so the report prints the interval it achieved) and the
+     word at the stack pointer (x86-64) or the link register (aarch64);
   3. symbolizes every address with `addr2line -f -i -C`, expanding inlined
-     frames, so a function inlined into its caller still gets its samples;
+     frames, so a function inlined into its caller still gets its samples.
+     A leaf in a runtime library (libc's memcpy, say) usually sets up no
+     frame, so the chain skips its caller; when the recorded word is a
+     return address into the program's text (a call instruction ends right
+     before it), that caller is put back between the leaf and the chain;
   4. prints the sample count and, per function, its self share (samples
      whose innermost frame it is) and inclusive share (samples with it
      anywhere on the stack).  With --under FRAME only samples that have
@@ -29,7 +35,9 @@ runtimes: frames in libc, libstdc++, libm, libgcc_s or the dynamic loader
 and inlined std:: / __gnu_cxx:: template code are skipped.  That is how a
 libc memcpy or memset (stripped libc shows it under the nearest exported
 symbol, e.g. `__nss_database_lookup [libc.so.6]`) is traced to the code
-that asked for it.
+that asked for it.  With --lines FRAME it prints the source lines (file:line
+of the sampled instruction, innermost inlined frame) of the samples whose
+innermost frame is FRAME.
 
 Frames are matched by their demangled name with or without the parameter
 list or the library tag.  The sample file is kept in .bench_build/profile/ and can be re-read
@@ -101,13 +109,19 @@ def record(args):
 
 
 def read_samples(path):
-    """Return (stacks, mappings, header): stacks leaf-first address lists,
-    mappings (start, end, file offset, path) sorted by start, and the
-    sampler's header fields (samples, dropped, cpu_s)."""
-    stacks, maps, header = [], [], {}
+    """Return (stacks, words, mappings, header): stacks leaf-first address
+    lists, each sample's stack-pointer word (None in a v1 file), mappings
+    (start, end, file offset, path) sorted by start, and the sampler's
+    header fields (samples, dropped, cpu_s)."""
+    stacks, words, maps, header = [], [], [], {}
     with open(path) as f:
         for line in f:
-            if line.startswith("s"):
+            if line.startswith("t "):
+                addrs = [int(a, 16) for a in line.split()[1:]]
+                words.append(addrs[0])
+                stacks.append(addrs[1:])
+            elif line.startswith("s"):
+                words.append(None)
                 stacks.append([int(a, 16) for a in line.split()[1:]])
             elif line.startswith("m "):
                 parts = line[2:].split(None, 5)
@@ -118,46 +132,75 @@ def read_samples(path):
             elif line.startswith("#"):
                 header = dict(re.findall(r"(\w+)=([\d.]+)", line))
     maps.sort()
-    return stacks, maps, header
+    return stacks, words, maps, header
 
 
-def load_segments(path):
-    """PT_LOAD (file offset, vaddr, size) triples of a 64-bit ELF file."""
-    try:
-        with open(path, "rb") as f:
-            data = f.read()
-    except OSError:
-        return []
-    if data[:4] != b"\x7fELF" or data[4] != 2 or data[5] != 1:
-        return []
-    phoff, = struct.unpack_from("<Q", data, 0x20)
-    phentsize, phnum = struct.unpack_from("<HH", data, 0x36)
-    segs = []
-    for i in range(phnum):
-        p_type, _, p_off, p_vaddr, _, p_filesz = struct.unpack_from(
-            "<IIQQQQ", data, phoff + i * phentsize)
-        if p_type == 1:
-            segs.append((p_off, p_vaddr, p_filesz))
-    return segs
+class Elf:
+    """The PT_LOAD segments (file offset, vaddr, size), the machine and the
+    bytes of a 64-bit little-endian ELF file (no segments if unreadable)."""
+
+    def __init__(self, path):
+        self.segs, self.machine, self.data = [], 0, b""
+        try:
+            with open(path, "rb") as f:
+                data = f.read()
+        except OSError:
+            return
+        if data[:4] != b"\x7fELF" or data[4] != 2 or data[5] != 1:
+            return
+        self.data = data
+        self.machine, = struct.unpack_from("<H", data, 0x12)
+        phoff, = struct.unpack_from("<Q", data, 0x20)
+        phentsize, phnum = struct.unpack_from("<HH", data, 0x36)
+        for i in range(phnum):
+            p_type, _, p_off, p_vaddr, _, p_filesz = struct.unpack_from(
+                "<IIQQQQ", data, phoff + i * phentsize)
+            if p_type == 1:
+                self.segs.append((p_off, p_vaddr, p_filesz))
+
+    def call_ends_at(self, vaddr):
+        """Whether a call instruction ends right before `vaddr`."""
+        for p_off, p_vaddr, size in self.segs:
+            if p_vaddr + 7 <= vaddr <= p_vaddr + size:
+                at = vaddr - p_vaddr + p_off
+                code = self.data[at - 7:at]
+                break
+        else:
+            return False
+        if self.machine == 62:  # x86-64: call rel32, or call r/m64 (FF /2)
+            if code[2] == 0xE8:
+                return True
+            return any(code[-n] == 0xFF and (code[-n + 1] >> 3) & 7 == 2
+                       for n in (2, 3, 4, 6, 7))
+        if self.machine == 183:  # aarch64: BL, or BLR
+            insn, = struct.unpack_from("<I", code, 3)
+            return (insn & 0xFC000000) == 0x94000000 or \
+                (insn & 0xFFFFFC1F) == 0xD63F0000
+        return False
 
 
-def to_object(addr, maps, starts, segments):
+def to_object(addr, maps, starts, elfs):
     """(object path, ELF virtual address) of a runtime address, or None."""
     i = bisect.bisect_right(starts, addr) - 1
     if i < 0 or addr >= maps[i][1]:
         return None
     lo, _, offset, path = maps[i]
     file_off = addr - lo + offset
-    if path not in segments:
-        segments[path] = load_segments(path)
-    for p_off, p_vaddr, size in segments[path]:
+    if path not in elfs:
+        elfs[path] = Elf(path)
+    for p_off, p_vaddr, size in elfs[path].segs:
         if p_off <= file_off < p_off + size:
             return path, file_off - p_off + p_vaddr
     return path, file_off
 
 
+def in_runtime_lib(path):
+    return RUNTIME_LIB.search(f"[{os.path.basename(path)}]") is not None
+
+
 def symbolize(path, vaddrs):
-    """Map each vaddr to its inline-expanded frames, innermost first.
+    """Map each vaddr to its inline-expanded frames, innermost first, and
+    the source line (file:line) of its innermost frame.
 
     Frames in shared libraries carry the library's name: a stripped library
     (libc) only has exported symbols, so its internal routines (the memcpy
@@ -165,7 +208,7 @@ def symbolize(path, vaddrs):
     out = {}
     tag = ".so" in os.path.basename(path)
     if not os.path.isfile(path):
-        return {v: [f"?? [{path}]"] for v in vaddrs}
+        return {v: ([f"?? [{path}]"], "??") for v in vaddrs}
     ordered = sorted(vaddrs)
     text = subprocess.run(
         ["addr2line", "-a", "-f", "-i", "-C", "-e", path],
@@ -176,29 +219,43 @@ def symbolize(path, vaddrs):
     while k < len(lines):
         if ADDR_LINE.match(lines[k]):
             idx += 1
-            out[ordered[idx]] = []
+            out[ordered[idx]] = ([], None)
             k += 1
             continue
         name = lines[k]
         if name == "??" or tag:
             name = f"{name} [{os.path.basename(path)}]"
-        out[ordered[idx]].append(name)
-        k += 2  # skip the file:line that follows every function name
+        frames, where = out[ordered[idx]]
+        if where is None and k + 1 < len(lines):
+            where = lines[k + 1].split(" (discriminator")[0]
+            if where.startswith(ROOT + os.sep):
+                where = where[len(ROOT) + 1:]
+        out[ordered[idx]] = (frames + [name], where)
+        k += 2  # the file:line follows every function name
     return out
 
 
-def frames_of(stacks, maps):
-    """Expand every sample to its list of function names, innermost first."""
+def frames_of(stacks, words, maps):
+    """Expand every sample to (function names innermost first, the source
+    line of its sampled instruction).  A runtime-library leaf whose stack
+    word is a return address into the program gets that caller back."""
     starts = [m[0] for m in maps]
-    segments, wanted = {}, collections.defaultdict(set)
+    elfs, wanted = {}, collections.defaultdict(set)
     located = []
-    for stack in stacks:
+    for stack, word in zip(stacks, words):
         row = []
         for depth, addr in enumerate(stack):
             # A return address points past its call: look up the call itself.
             loc = to_object(addr if depth == 0 else addr - 1, maps, starts,
-                            segments)
+                            elfs)
             row.append(loc)
+        if word and row and row[0] is not None and in_runtime_lib(row[0][0]) \
+                and (len(stack) < 2 or stack[1] != word):
+            ret = to_object(word, maps, starts, elfs)
+            if ret is not None and not in_runtime_lib(ret[0]) and \
+                    elfs[ret[0]].call_ends_at(ret[1]):
+                row.insert(1, (ret[0], ret[1] - 1))
+        for loc in row:
             if loc is not None:
                 wanted[loc[0]].add(loc[1])
         located.append(row)
@@ -208,8 +265,10 @@ def frames_of(stacks, maps):
         frames = []
         for loc in row:
             frames.extend(["??"] if loc is None
-                          else names[loc[0]].get(loc[1]) or ["??"])
-        expanded.append(frames)
+                          else names[loc[0]].get(loc[1], (None,))[0] or ["??"])
+        leaf = row[0] if row else None
+        where = names[leaf[0]][leaf[1]][1] if leaf is not None else None
+        expanded.append((frames, where or "??"))
     return expanded
 
 
@@ -224,26 +283,26 @@ def is_runtime(frame):
             or STD_FRAME.match(frame) is not None)
 
 
-def report_callers(expanded, frame, top):
-    """Nearest non-runtime caller of the samples whose leaf is `frame`."""
-    leaf = [f for f in expanded if matches(f[0], frame)]
-    n = len(expanded)
+def report_leaf(samples, frame, top, heading, column, key):
+    """Shares of key(sample) over the samples whose leaf is `frame`."""
+    leaf = [x for x in samples if matches(x[0][0], frame)]
+    n = len(samples)
     share = 100.0 * len(leaf) / n if n else 0.0
-    print(f"\ncallers of {frame}: {len(leaf)} samples "
+    print(f"\n{heading} {frame}: {len(leaf)} samples "
           f"({share:.1f} % of the {n} above)")
     if not leaf:
         return
-    callers = collections.Counter(
-        next((x for x in f[1:] if not is_runtime(x)), "(none)") for f in leaf)
-    print(f"{'of-leaf%':>8} {'of-all%':>8}  nearest caller outside the runtime")
-    for name, c in callers.most_common(top):
-        print(f"{100.0 * c / len(leaf):8.2f} {100.0 * c / n:8.2f}  {name[:160]}")
+    counts = collections.Counter(key(x) for x in leaf)
+    print(f"{'of-leaf%':>8} {'of-all%':>8} {'samples':>7}  {column}")
+    for name, c in counts.most_common(top):
+        print(f"{100.0 * c / len(leaf):8.2f} {100.0 * c / n:8.2f} {c:7d}"
+              f"  {name[:160]}")
 
 
-def report(expanded, header, under, top, callers=None):
+def report(expanded, header, under, top, callers=None, lines=None):
     total = len(expanded)
     if under:
-        expanded = [f for f in expanded if any(matches(x, under) for x in f)]
+        expanded = [x for x in expanded if any(matches(f, under) for f in x[0])]
     n = len(expanded)
     cpu_s = float(header.get("cpu_s", 0))
     rate = f" over {cpu_s:.1f} s CPU, one per {1000 * cpu_s / total:.1f} ms" \
@@ -257,7 +316,7 @@ def report(expanded, header, under, top, callers=None):
     if n == 0:
         return
     self_n, incl_n = collections.Counter(), collections.Counter()
-    for frames in expanded:
+    for frames, _ in expanded:
         self_n[frames[0]] += 1
         for name in set(frames):
             incl_n[name] += 1
@@ -269,7 +328,13 @@ def report(expanded, header, under, top, callers=None):
             print(f"{100.0 * self_n[name] / n:7.2f} {100.0 * incl_n[name] / n:7.2f}"
                   f"  {name[:160]}")
     if callers:
-        report_callers(expanded, callers, top)
+        report_leaf(expanded, callers, top, "callers of",
+                    "nearest caller outside the runtime",
+                    lambda x: next((f for f in x[0][1:] if not is_runtime(f)),
+                                   "(none)"))
+    if lines:
+        report_leaf(expanded, lines, top, "source lines of",
+                    "file:line of the sampled instruction", lambda x: x[1])
 
 
 def main():
@@ -284,6 +349,9 @@ def main():
     ap.add_argument("--callers", metavar="FRAME",
                     help="also print the nearest caller outside libc/libstdc++"
                          " of the samples whose innermost frame is FRAME")
+    ap.add_argument("--lines", metavar="FRAME",
+                    help="also print the source lines of the samples whose"
+                         " innermost frame is FRAME")
     ap.add_argument("--top", type=int, default=30)
     args = ap.parse_args()
     if not args.samples and not args.workload:
@@ -292,11 +360,12 @@ def main():
         fail("addr2line not found")
 
     path = args.samples or record(args)
-    stacks, maps, header = read_samples(path)
+    stacks, words, maps, header = read_samples(path)
     if not stacks:
         fail(f"{path}: no samples")
     print(f"sample file: {path}")
-    report(frames_of(stacks, maps), header, args.under, args.top, args.callers)
+    report(frames_of(stacks, words, maps), header, args.under, args.top,
+           args.callers, args.lines)
     return 0
 
 

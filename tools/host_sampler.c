@@ -6,10 +6,15 @@
  * most one sample per tick).  The handler claims a sample index with one
  * atomic add and records the interrupted PC followed by the return
  * addresses found by walking the frame-pointer chain, so the program under
- * test must be built with -fno-omit-frame-pointer.  At exit the samples
- * (one line of hex addresses per sample, leaf first), the process's CPU time
- * and a copy of /proc/self/maps are written to the file named by
- * HOST_SAMPLER_OUT.
+ * test must be built with -fno-omit-frame-pointer.  A leaf that sets up no
+ * frame (libc's memcpy and memset) is missing from that chain's view: the
+ * chain starts at its caller's caller.  So each sample also keeps the word
+ * at the interrupted stack pointer on x86-64 (the link register on
+ * aarch64), which in such a leaf is the return address into its caller;
+ * tools/host_profile.py decides whether to use it.  At exit the samples (one
+ * line per sample: "t", that word, then the PC and the chain, leaf first,
+ * in hex), the process's CPU time and a copy of /proc/self/maps are written
+ * to the file named by HOST_SAMPLER_OUT.
  *
  * Only this process is sampled; nothing system-wide is touched.
  */
@@ -33,6 +38,7 @@
 
 typedef struct {
   uint32_t depth;
+  uintptr_t sp_word; /* word at the stack pointer (x86-64) or LR (aarch64) */
   uintptr_t pc[MAX_DEPTH];
 } sample_t;
 
@@ -68,9 +74,12 @@ static void on_sigprof(int sig, siginfo_t* info, void* uctx) {
 #if defined(__x86_64__)
   s->pc[n++] = (uintptr_t)uc->uc_mcontext.gregs[REG_RIP];
   uintptr_t fp = (uintptr_t)uc->uc_mcontext.gregs[REG_RBP];
+  const uintptr_t sp = (uintptr_t)uc->uc_mcontext.gregs[REG_RSP];
+  s->sp_word = (sp & 7) == 0 && mapped16(sp) ? *(const uintptr_t*)sp : 0;
 #elif defined(__aarch64__)
   s->pc[n++] = (uintptr_t)uc->uc_mcontext.pc;
   uintptr_t fp = (uintptr_t)uc->uc_mcontext.regs[29];
+  s->sp_word = (uintptr_t)uc->uc_mcontext.regs[30];
 #else
 #error "host_sampler: unsupported architecture"
 #endif
@@ -103,11 +112,11 @@ static void write_out(void) {
   if (taken > MAX_SAMPLES) taken = MAX_SAMPLES;
   struct timespec cpu;
   clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &cpu);
-  fprintf(out, "# host_sampler v1 samples=%u dropped=%u cpu_s=%.3f\n", taken,
+  fprintf(out, "# host_sampler v2 samples=%u dropped=%u cpu_s=%.3f\n", taken,
           atomic_load(&dropped), (double)cpu.tv_sec + cpu.tv_nsec / 1e9);
   for (unsigned i = 0; i < taken; ++i) {
     const sample_t* s = &samples[i];
-    fputc('s', out);
+    fprintf(out, "t %lx", (unsigned long)s->sp_word);
     for (uint32_t d = 0; d < s->depth; ++d)
       fprintf(out, " %lx", (unsigned long)s->pc[d]);
     fputc('\n', out);
