@@ -72,7 +72,8 @@ cmake --build "$BENCH_DIR" -j "$(nproc)"
 # through TincaCache::recover, so a mount that throws fails CI here.
 # crash_recovery_demo also exits nonzero unless every crash it injects
 # recovers atomically (each block OLD or NEW, the transaction all-old or
-# all-new).  All four finish in well under a second.
+# all-new) and every cut after the commit fence recovers all-new.  All four
+# finish in well under a second.
 for example in crash_recovery_demo quickstart kvstore trace_replay; do
   "$BENCH_DIR/examples/$example" > /dev/null
 done
@@ -84,6 +85,12 @@ echo "examples: OK (crash_recovery_demo atomic, quickstart, kvstore," \
   --json "$JSON_OUT/micro.json" > /dev/null
 "$BENCH_DIR/bench/bench_ablation_txn_batch" \
   --json "$JSON_OUT/txn_batch.json" > /dev/null
+
+# Paper-figure gates: Figs 3 and 11 run Filebench over MiniFs (about 4 s
+# together), so a file-system or cache change that loses the paper's result
+# fails here.  The checks are in the JSON validation below.
+"$BENCH_DIR/bench/bench_fig03_journaling" --json "$JSON_OUT/fig03.json" > /dev/null
+"$BENCH_DIR/bench/bench_fig11_filebench" --json "$JSON_OUT/fig11.json" > /dev/null
 
 # Fault-fuzz smoke (DESIGN.md §9): 1000 randomized fault schedules per stack
 # at a fixed seed.  The binary exits nonzero on any recovery-invariant
@@ -174,7 +181,8 @@ python3 - "$JSON_OUT/micro.json" "$JSON_OUT/txn_batch.json" \
   "$JSON_OUT/fault_sweep.json" "$JSON_OUT/fs_fuzz.json" \
   "$JSON_OUT/cleaner.json" "$JSON_OUT/mvcc.json" \
   "$JSON_OUT/nvlog.json" "$JSON_OUT/group_commit.json" \
-  "$JSON_OUT/multistream.json" <<'EOF'
+  "$JSON_OUT/multistream.json" "$JSON_OUT/fig03.json" \
+  "$JSON_OUT/fig11.json" <<'EOF'
 import json, numbers, sys
 
 for path in sys.argv[1:]:
@@ -386,4 +394,31 @@ for n in (1, 2, 4, 8, 16):
         f"streams={n}: cross-shard mix only {m['cross_shard_share']:.3f}"
 print(f"multistream: OK (8-stream speedup = {speedup:.2f}x, group fences/txn "
       f"= {rows['group/streams=8']['fences_per_txn']:.3f})")
+
+# Paper-figure gates, per Filebench personality.  Fig 3(a): journaling
+# writes more to the NVM cache than no journaling (the paper's double
+# writes).  Fig 11: Tinca serves more file operations per second than
+# Classic, with no more clflushes and no more disk writes per operation.
+PERSONALITIES = ("fileserver", "webproxy", "varmail")
+with open(sys.argv[10]) as f:
+    rows = {row["label"]: row["metrics"] for row in json.load(f)["rows"]}
+for p in PERSONALITIES:
+    pct = rows[f"nvm_traffic/{p}"]["journal_traffic_pct"]
+    assert pct > 100, f"fig 3(a) {p}: journal traffic only {pct:.0f}%"
+print("fig 3(a): OK (journal traffic " + ", ".join(
+    f"{p} {rows[f'nvm_traffic/{p}']['journal_traffic_pct']:.0f}%"
+    for p in PERSONALITIES) + ")")
+with open(sys.argv[11]) as f:
+    rows = {row["label"]: row["metrics"] for row in json.load(f)["rows"]}
+for p in PERSONALITIES:
+    tinca, classic = rows[f"Tinca/{p}"], rows[f"Classic/{p}"]
+    assert tinca["ops_per_sec"] > classic["ops_per_sec"], \
+        f"fig 11 {p}: Tinca {tinca['ops_per_sec']:.0f} ops/s !> Classic " \
+        f"{classic['ops_per_sec']:.0f}"
+    for m in ("clflush_per_op", "disk_writes_per_op"):
+        assert tinca[m] <= classic[m], \
+            f"fig 11 {p}: Tinca {m} {tinca[m]:.2f} > Classic {classic[m]:.2f}"
+print("fig 11: OK (Tinca/Classic ops/s " + ", ".join(
+    f"{p} {rows[f'Tinca/{p}']['ops_per_sec'] / rows[f'Classic/{p}']['ops_per_sec']:.2f}x"
+    for p in PERSONALITIES) + ")")
 EOF

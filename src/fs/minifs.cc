@@ -1,6 +1,7 @@
 #include "fs/minifs.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <set>
 
@@ -29,6 +30,23 @@ std::vector<std::string_view> split_path(std::string_view path) {
     i = j;
   }
   return parts;
+}
+
+// Lowest clear bit of `bits` in [from, limit), or `limit` if there is none.
+// The bitmap is read a 64-bit word at a time; on the little-endian hosts
+// the media layouts require, bit j of word w is bitmap bit 64·w + j.
+// `bits` holds whole bitmap blocks, so every word the scan reads exists.
+std::uint64_t first_clear_bit(const std::vector<std::uint8_t>& bits,
+                              std::uint64_t from, std::uint64_t limit) {
+  for (std::uint64_t w = from / 64; w * 64 < limit; ++w) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, bits.data() + w * 8, 8);
+    word = ~word;
+    if (w == from / 64) word &= ~std::uint64_t{0} << (from % 64);
+    if (word != 0)
+      return std::min<std::uint64_t>(limit, w * 64 + std::countr_zero(word));
+  }
+  return limit;
 }
 }  // namespace
 
@@ -227,21 +245,16 @@ void MiniFs::flush_bitmap_bit(bool inode_bitmap, std::uint64_t index) {
 
 std::uint64_t MiniFs::alloc_block() {
   const std::uint64_t data_blocks = geo_.total_blocks - geo_.data_start;
-  for (std::uint64_t probe = 0; probe < data_blocks; ++probe) {
-    const std::uint64_t i = (block_cursor_ + probe) % data_blocks;
-    if (!(block_bitmap_[i / 8] & (1u << (i % 8)))) {
-      block_bitmap_[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
-      block_cursor_ = i + 1;
-      flush_bitmap_bit(false, i);
-      // Fresh blocks start zeroed: a reused block may hold stale content
-      // that a partial write would otherwise expose.
-      const std::vector<std::byte> zeros(kBlockSize, std::byte{0});
-      write_blk(geo_.data_start + i, zeros);
-      return geo_.data_start + i;
-    }
-  }
-  TINCA_EXPECT(false, "MiniFs: out of data blocks");
-  return 0;
+  const std::uint64_t i = first_clear_bit(block_bitmap_, block_low_, data_blocks);
+  TINCA_EXPECT(i < data_blocks, "MiniFs: out of data blocks");
+  block_bitmap_[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
+  block_low_ = i + 1;
+  flush_bitmap_bit(false, i);
+  // Fresh blocks start zeroed: a reused block may hold stale content that a
+  // partial write would otherwise expose.
+  const std::vector<std::byte> zeros(kBlockSize, std::byte{0});
+  write_blk(geo_.data_start + i, zeros);
+  return geo_.data_start + i;
 }
 
 void MiniFs::free_block(std::uint64_t blkno) {
@@ -250,19 +263,16 @@ void MiniFs::free_block(std::uint64_t blkno) {
   const std::uint64_t i = blkno - geo_.data_start;
   TINCA_ENSURE(block_bitmap_[i / 8] & (1u << (i % 8)), "double free of block");
   block_bitmap_[i / 8] &= static_cast<std::uint8_t>(~(1u << (i % 8)));
+  block_low_ = std::min(block_low_, i);
   flush_bitmap_bit(false, i);
 }
 
 std::uint64_t MiniFs::alloc_inode() {
-  for (std::uint64_t i = 0; i < geo_.inode_count; ++i) {
-    if (!(inode_bitmap_[i / 8] & (1u << (i % 8)))) {
-      inode_bitmap_[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
-      flush_bitmap_bit(true, i);
-      return i;
-    }
-  }
-  TINCA_EXPECT(false, "MiniFs: out of inodes");
-  return 0;
+  const std::uint64_t i = first_clear_bit(inode_bitmap_, 0, geo_.inode_count);
+  TINCA_EXPECT(i < geo_.inode_count, "MiniFs: out of inodes");
+  inode_bitmap_[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
+  flush_bitmap_bit(true, i);
+  return i;
 }
 
 void MiniFs::free_inode(std::uint64_t ino) {

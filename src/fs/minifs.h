@@ -221,7 +221,7 @@ class MiniFs {
   void load_bitmaps();
   void flush_bitmap_bit(bool inode_bitmap, std::uint64_t index);
 
-  // Allocation.
+  // Allocation: first fit, the lowest free data block or inode.
   std::uint64_t alloc_block();
   void free_block(std::uint64_t blkno);
   std::uint64_t alloc_inode();
@@ -250,7 +250,9 @@ class MiniFs {
 
   std::vector<std::uint8_t> inode_bitmap_;
   std::vector<std::uint8_t> block_bitmap_;
-  std::uint64_t block_cursor_ = 0;  // next-fit allocation hint
+  // First-fit low-water mark: no data block below it is free.  free_block
+  // lowers it, so a freed block is the next one alloc_block reuses.
+  std::uint64_t block_low_ = 0;
 
   // Page cache of dirty (staged, uncommitted) blocks.
   std::unordered_map<std::uint64_t, std::vector<std::byte>> staged_;

@@ -4,9 +4,11 @@
 // state (data consistency, §2.3).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "backend/classic_backend.h"
+#include "backend/stack_builder.h"
 #include "backend/tinca_backend.h"
 #include "blockdev/mem_block_device.h"
 #include "common/bytes.h"
@@ -388,6 +390,163 @@ TEST(MiniFsCrash, TruncateOutOfIndirectBlockNeverLeaks) {
         << "content corrupted by crash at step " << step;
   }
 }
+
+// ---------------------------------------------------------------------------
+// First-fit reuse inside one compound transaction: the remove that frees a
+// file's blocks and the create that takes them back commit together.  A cut
+// at any crash point or inside any NVM store of that commit must recover
+// exactly the tree from before it or the tree after it.
+// ---------------------------------------------------------------------------
+
+class MiniFsReuseCrash : public ::testing::TestWithParam<backend::StackKind> {
+ protected:
+  static constexpr std::size_t kKeepSize = 9000;
+  static constexpr std::size_t kOldSize = 20000;  // 5 blocks
+  static constexpr std::size_t kNewSize = 17000;  // 5 blocks
+  enum class Cut { kPoint, kTorn };
+
+  struct Run {
+    bool crashed = false;
+    std::uint64_t points = 0;  // crash points the transaction passed
+    std::uint64_t torn = 0;    // NVM stores it made (torn points)
+    std::vector<std::uint64_t> old_blocks, new_blocks;
+  };
+
+  static backend::StackConfig stack_config() {
+    backend::StackConfig cfg;
+    cfg.kind = GetParam();
+    cfg.tinca.ring_bytes = kRing;
+    cfg.sharded.num_shards = 2;
+    cfg.nvlog.log_bytes = 1 << 20;
+    return cfg;
+  }
+
+  // Committed direct block pointers of inode `ino` (128 B inodes: type,
+  // size, then 12 direct pointers), up to its first hole.
+  static std::vector<std::uint64_t> direct_blocks(backend::TxnBackend& be,
+                                                  const MiniFs& fsys,
+                                                  std::uint64_t ino) {
+    std::vector<std::byte> blk(4096);
+    be.read_block(fsys.geometry().itable_start + ino / 32, blk);
+    std::vector<std::uint64_t> out;
+    for (std::uint64_t d = 0; d < 12; ++d) {
+      const std::uint64_t b = load_le(blk.data() + (ino % 32) * 128 + 16 + d * 8, 8);
+      if (b == 0) break;
+      out.push_back(b);
+    }
+    return out;
+  }
+
+  // Commits /keep and /old, then one transaction that removes /old and
+  // creates /new, with the `cut` counter armed at `step` (0 = never).
+  static Run run(nvm::NvmDevice& dev, blockdev::MemBlockDevice& disk, Cut cut,
+                 std::uint64_t step) {
+    auto be = backend::open_backend(stack_config(), dev, disk, false);
+    MiniFsConfig cfg;
+    cfg.group_commit_ops = 1000;  // only explicit fsync commits
+    auto fsys = MiniFs::mkfs(*be, cfg);
+    fsys->create("/keep");  // inode 1
+    fsys->write("/keep", 0, bytes_of(kKeepSize, 1));
+    fsys->create("/old");  // inode 2
+    fsys->write("/old", 0, bytes_of(kOldSize, 2));
+    fsys->fsync();
+    Run r;
+    if (step == 0) r.old_blocks = direct_blocks(*be, *fsys, 2);
+
+    dev.injector.disarm();
+    dev.injector.disarm_torn();
+    if (step != 0 && cut == Cut::kPoint) dev.injector.arm(step);
+    if (step != 0 && cut == Cut::kTorn) dev.injector.arm_torn(step);
+    try {
+      fsys->remove("/old");
+      fsys->create("/new");  // takes inode 2 back
+      fsys->write("/new", 0, bytes_of(kNewSize, 3));
+      fsys->fsync();
+    } catch (const nvm::CrashException&) {
+      r.crashed = true;
+    }
+    r.points = dev.injector.steps_seen();
+    r.torn = dev.injector.torn_steps_seen();
+    dev.injector.disarm();
+    dev.injector.disarm_torn();
+    if (step == 0) r.new_blocks = direct_blocks(*be, *fsys, 2);
+    return r;
+  }
+
+  static void expect_file(MiniFs& fsys, const std::string& path,
+                          std::size_t size, std::uint64_t seed,
+                          const std::string& where) {
+    ASSERT_EQ(fsys.file_size(path), size) << path << where;
+    std::vector<std::byte> got(size);
+    ASSERT_EQ(fsys.read(path, 0, got), size) << path << where;
+    ASSERT_EQ(fingerprint(got), fingerprint(bytes_of(size, seed)))
+        << path << " corrupted" << where;
+  }
+
+  // Cuts the transaction at every step of `cut`'s counter; returns how many
+  // cuts recovered the tree from after it.
+  static std::uint64_t sweep(Cut cut, std::uint64_t steps, std::uint64_t seed) {
+    Rng rng(seed);
+    std::uint64_t new_trees = 0;
+    for (std::uint64_t step = 1; step <= steps; ++step) {
+      const std::string where =
+          std::string(cut == Cut::kPoint ? " at crash point " : " at torn store ") +
+          std::to_string(step);
+      sim::SimClock clock;
+      nvm::NvmDevice dev(kNvmBytes, nvdimm_profile(), clock);
+      blockdev::MemBlockDevice disk(kDiskBlocks);
+      EXPECT_TRUE(run(dev, disk, cut, step).crashed) << "no cut" << where;
+      dev.crash(rng, 0.5);
+
+      auto be = backend::open_backend(stack_config(), dev, disk, true);
+      auto fsys = MiniFs::mount(*be);
+      const FsckReport report = fsys->fsck();
+      EXPECT_TRUE(report.ok) << "fsck dirty" << where << ": " << report.summary();
+
+      std::vector<std::string> names = fsys->list("/");
+      std::sort(names.begin(), names.end());
+      const bool old_tree = names == std::vector<std::string>{"keep", "old"};
+      const bool new_tree = names == std::vector<std::string>{"keep", "new"};
+      EXPECT_TRUE(old_tree || new_tree) << "torn tree" << where;
+      expect_file(*fsys, "/keep", kKeepSize, 1, where);
+      if (old_tree) expect_file(*fsys, "/old", kOldSize, 2, where);
+      if (new_tree) expect_file(*fsys, "/new", kNewSize, 3, where);
+      new_trees += new_tree ? 1 : 0;
+    }
+    return new_trees;
+  }
+};
+
+TEST_P(MiniFsReuseCrash, EveryCutRecoversTheOldOrTheNewTree) {
+  Run clean;
+  {
+    sim::SimClock clock;
+    nvm::NvmDevice dev(kNvmBytes, nvdimm_profile(), clock);
+    blockdev::MemBlockDevice disk(kDiskBlocks);
+    clean = run(dev, disk, Cut::kPoint, 0);
+  }
+  ASSERT_FALSE(clean.crashed);
+  // The transaction really reuses /old's blocks for /new.
+  ASSERT_EQ(clean.old_blocks.size(), 5u);
+  ASSERT_EQ(clean.new_blocks, clean.old_blocks);
+  ASSERT_GT(clean.points, 0u);
+  ASSERT_GT(clean.torn, 0u);
+
+  // The point sweep passes the commit point: its last cuts keep the new tree.
+  const std::uint64_t new_after_points = sweep(Cut::kPoint, clean.points, 71);
+  EXPECT_GT(new_after_points, 0u);
+  EXPECT_LT(new_after_points, clean.points);
+  sweep(Cut::kTorn, clean.torn, 72);
+}
+
+INSTANTIATE_TEST_SUITE_P(Stacks, MiniFsReuseCrash,
+                         ::testing::Values(backend::StackKind::kTinca,
+                                           backend::StackKind::kNvLogSharded),
+                         [](const auto& pinfo) {
+                           return pinfo.param == backend::StackKind::kTinca
+                                      ? "Tinca"
+                                      : "NvLogSharded";
+                         });
 
 }  // namespace
 }  // namespace tinca::fs

@@ -419,5 +419,69 @@ TEST_F(FsckCodes, CleanImageStaysClean) {
   EXPECT_TRUE(r.codes.empty());
 }
 
+// ---------------------------------------------------------------------------
+// First-fit allocation: a freed block is reused before any never-used one,
+// so a deleted file's dead bytes are overwritten where they sit in the cache
+// instead of being written back.  The root directory's first block is data
+// block 0, so the first file's blocks start at data block 1.
+// ---------------------------------------------------------------------------
+
+class FirstFit : public FsckCodes {
+ protected:
+  /// Committed direct block pointers of inode `ino`, up to its first hole.
+  std::vector<std::uint64_t> direct_blocks(std::uint64_t ino) {
+    std::vector<std::uint64_t> out;
+    for (std::uint64_t d = 0; d < 12; ++d) {
+      const std::uint64_t blkno = peek_inode(ino, kDirect0Off + d * 8);
+      if (blkno == 0) break;
+      out.push_back(blkno);
+    }
+    return out;
+  }
+
+  /// Block number of data block `i`.
+  std::uint64_t data(std::uint64_t i) const {
+    return fsys_->geometry().data_start + i;
+  }
+};
+
+TEST_F(FirstFit, RemovedFilesBlocksAreTheNextOnesReused) {
+  fsys_->create("/a");
+  fsys_->write("/a", 0, bytes_of(3 * 4096, 1));
+  fsys_->create("/b");
+  fsys_->write("/b", 0, bytes_of(2 * 4096, 2));
+  fsys_->fsync();
+  ASSERT_EQ(direct_blocks(1), (std::vector{data(1), data(2), data(3)}));
+  ASSERT_EQ(direct_blocks(2), (std::vector{data(4), data(5)}));
+  fsys_->remove("/a");
+  fsys_->fsync();
+
+  // /c takes /a's inode and its three freed blocks, lowest first, and only
+  // then the lowest never-used block.
+  fsys_->create("/c");
+  fsys_->write("/c", 0, bytes_of(4 * 4096, 3));
+  fsys_->fsync();
+  EXPECT_EQ(direct_blocks(1),
+            (std::vector{data(1), data(2), data(3), data(6)}));
+  const FsckReport r = fsck_fresh();
+  EXPECT_TRUE(r.ok) << r.summary();
+}
+
+TEST_F(FirstFit, TruncatedBlocksAreReusedBeforeNeverUsedOnes) {
+  fsys_->create("/a");
+  fsys_->write("/a", 0, bytes_of(6 * 4096, 1));
+  fsys_->fsync();
+  fsys_->truncate("/a", 2 * 4096);  // frees data blocks 3..6
+  fsys_->fsync();
+
+  fsys_->create("/b");
+  fsys_->write("/b", 0, bytes_of(3 * 4096, 2));
+  fsys_->fsync();
+  EXPECT_EQ(direct_blocks(1), (std::vector{data(1), data(2)}));
+  EXPECT_EQ(direct_blocks(2), (std::vector{data(3), data(4), data(5)}));
+  const FsckReport r = fsck_fresh();
+  EXPECT_TRUE(r.ok) << r.summary();
+}
+
 }  // namespace
 }  // namespace tinca::fs
