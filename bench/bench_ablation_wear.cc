@@ -114,12 +114,12 @@ nvm::NvmDevice::WearReport run_watermark_wear(std::uint32_t slots) {
   cfg.segment_bytes = 64 * 1024;
   cfg.watermark_slots = slots;
   auto tier = nvlog::NvLogTier::format(nvm, cfg);
-  std::vector<std::byte> blk(4096);
   for (int i = 0; i < 512; ++i) {
+    std::vector<std::byte> blk(4096);
     fill_pattern(blk, static_cast<std::uint64_t>(i));
-    std::vector<std::pair<std::uint64_t, std::span<const std::byte>>> blocks;
-    blocks.emplace_back(1, blk);
-    tier->absorb_commit(blocks, sink);
+    std::vector<blockdev::WriteSet::Write> blocks;
+    blocks.emplace_back(1, std::move(blk));
+    tier->absorb_commit(std::move(blocks), sink);
     tier->drain_all(sink);  // one watermark advance per cycle
   }
   return nvm.wear(nvlog::kWatermarkBase,

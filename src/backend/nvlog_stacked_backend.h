@@ -101,29 +101,22 @@ class NvLogStackedBackend final : public TxnBackend,
   /// Thread-safe: concurrent committers serialize on the tier mutex.  A
   /// group of one is a plain absorb (nvlog.group_* count only real groups);
   /// larger groups merge into one log txn run sealed by one commit record.
-  /// A disk error inside a backpressure drain throws with nothing absorbed.
+  /// The tier takes the members' buffers over as its DRAM images.  A disk
+  /// error inside a backpressure drain throws with nothing absorbed.
   void commit_group(std::span<GroupTxn> txns) override {
     TINCA_EXPECT(!txn_open(), "group commit with a transaction open");
     if (txns.empty()) return;
     {
       TINCA_TRACE_SPAN(trace_, site_commit_);
-      std::vector<
-          std::vector<std::pair<std::uint64_t, std::span<const std::byte>>>>
-          members;
-      members.reserve(txns.size());
-      for (const GroupTxn& t : txns) {
-        auto& blocks = members.emplace_back();
-        blocks.reserve(t.block_count());
-        for (const auto& [blkno, data] : t.writes()) {
-          TINCA_EXPECT(blkno < data_block_limit(), "write past the data area");
-          blocks.emplace_back(blkno, data);
-        }
-      }
+      const std::uint64_t limit = data_block_limit();
+      for (const GroupTxn& t : txns)
+        for (const auto& [blkno, data] : t.writes())
+          TINCA_EXPECT(blkno < limit, "write past the data area");
       std::lock_guard<std::mutex> lock(tier_mu_);
-      if (members.size() > 1)
-        tier_->absorb_commit_group(members, *this);
-      else if (!members.front().empty())
-        tier_->absorb_commit(members.front(), *this);
+      if (txns.size() > 1)
+        tier_->absorb_commit_group(txns, *this);
+      else if (!txns.front().empty())
+        tier_->absorb_commit(txns.front().take(), *this);
     }
     trickle_collect();
   }
@@ -341,7 +334,8 @@ class NvLogStackedBackend final : public TxnBackend,
   /// chunked to its transaction capacity: each chunk is ONE inner commit —
   /// one flush pass, one sfence (§14) on Tinca/Sharded — and durable on
   /// return.  The chunks take the drained payloads over (the whole batch
-  /// when it fits one chunk), so a payload is copied once, out of the log.
+  /// when it fits one chunk), so a payload is copied once, out of the
+  /// tier's DRAM image.
   /// A crash between chunks just replays the segment (the watermark has not
   /// advanced), and the inner's own commit protocol keeps each chunk
   /// atomic; the journal-less Classic inner makes each block durable on its

@@ -141,8 +141,8 @@ void MiniFs::write_superblock() {
 }
 
 void MiniFs::load_superblock() {
-  std::vector<std::byte> sb(kBlockSize);
-  read_blk(0, sb);
+  BlockBuf buf;
+  const std::span<const std::byte> sb = view_blk(0, buf);
   TINCA_EXPECT(load_le(sb.data(), 8) == kFsMagic, "not a MiniFs device");
   std::uint64_t off = 8;
   auto next = [&] {
@@ -164,13 +164,13 @@ void MiniFs::load_superblock() {
 void MiniFs::load_bitmaps() {
   inode_bitmap_.assign(geo_.ibmap_blocks * kBlockSize, 0);
   block_bitmap_.assign(geo_.bbmap_blocks * kBlockSize, 0);
-  std::vector<std::byte> blk(kBlockSize);
+  BlockBuf buf;
   for (std::uint64_t b = 0; b < geo_.ibmap_blocks; ++b) {
-    read_blk(geo_.ibmap_start + b, blk);
+    const std::span<const std::byte> blk = view_blk(geo_.ibmap_start + b, buf);
     std::memcpy(inode_bitmap_.data() + b * kBlockSize, blk.data(), kBlockSize);
   }
   for (std::uint64_t b = 0; b < geo_.bbmap_blocks; ++b) {
-    read_blk(geo_.bbmap_start + b, blk);
+    const std::span<const std::byte> blk = view_blk(geo_.bbmap_start + b, buf);
     std::memcpy(block_bitmap_.data() + b * kBlockSize, blk.data(), kBlockSize);
   }
 }
@@ -192,11 +192,23 @@ void MiniFs::read_blk(std::uint64_t blkno, std::span<std::byte> dst) {
   backend_.read_block(blkno, dst);
 }
 
+std::span<const std::byte> MiniFs::view_blk(std::uint64_t blkno,
+                                            BlockBuf& buf) {
+  const auto it = staged_.find(blkno);
+  if (it != staged_.end()) return it->second;
+  backend_.read_block(blkno, buf);
+  return buf;
+}
+
 void MiniFs::write_blk(std::uint64_t blkno, std::span<const std::byte> data) {
   TINCA_EXPECT(data.size() == kBlockSize, "MiniFs writes whole blocks");
+  staged_image(blkno).assign(data.begin(), data.end());
+}
+
+std::vector<std::byte>& MiniFs::staged_image(std::uint64_t blkno) {
   auto [it, inserted] = staged_.try_emplace(blkno);
   if (inserted) staged_order_.push_back(blkno);
-  it->second.assign(data.begin(), data.end());
+  return it->second;
 }
 
 void MiniFs::commit_txn() {
@@ -238,9 +250,22 @@ void MiniFs::flush_bitmap_bit(bool inode_bitmap, std::uint64_t index) {
   const auto& bits = inode_bitmap ? inode_bitmap_ : block_bitmap_;
   const std::uint64_t start =
       inode_bitmap ? geo_.ibmap_start : geo_.bbmap_start;
-  std::vector<std::byte> blk(kBlockSize);
-  std::memcpy(blk.data(), bits.data() + bitmap_block * kBlockSize, kBlockSize);
-  write_blk(start + bitmap_block, blk);
+  const auto* block = reinterpret_cast<const std::byte*>(bits.data()) +
+                      bitmap_block * kBlockSize;
+  // The first flip in a transaction stages the whole bitmap block; from
+  // then on the staged image tracks the in-DRAM bitmap, so a later flip
+  // copies just the byte it changed.
+  std::vector<std::byte>& staged = staged_image(start + bitmap_block);
+  if (staged.empty()) {
+    staged.assign(block, block + kBlockSize);
+  } else {
+    const std::uint64_t at = index / 8 % kBlockSize;
+    staged[at] = block[at];
+  }
+#ifndef NDEBUG
+  TINCA_ENSURE(std::equal(staged.begin(), staged.end(), block),
+               "staged bitmap block diverged from the in-DRAM bitmap");
+#endif
 }
 
 std::uint64_t MiniFs::alloc_block() {
@@ -252,8 +277,7 @@ std::uint64_t MiniFs::alloc_block() {
   flush_bitmap_bit(false, i);
   // Fresh blocks start zeroed: a reused block may hold stale content that a
   // partial write would otherwise expose.
-  const std::vector<std::byte> zeros(kBlockSize, std::byte{0});
-  write_blk(geo_.data_start + i, zeros);
+  staged_image(geo_.data_start + i).assign(kBlockSize, std::byte{0});
   return geo_.data_start + i;
 }
 
@@ -287,9 +311,10 @@ void MiniFs::free_inode(std::uint64_t ino) {
 
 MiniFs::Inode MiniFs::read_inode(std::uint64_t ino) {
   TINCA_EXPECT(ino < geo_.inode_count, "inode number out of range");
-  std::vector<std::byte> blk(kBlockSize);
-  read_blk(geo_.itable_start + ino / kInodesPerBlock, blk);
-  const std::byte* p = blk.data() + (ino % kInodesPerBlock) * kInodeBytes;
+  BlockBuf buf;
+  const std::byte* p =
+      view_blk(geo_.itable_start + ino / kInodesPerBlock, buf).data() +
+      (ino % kInodesPerBlock) * kInodeBytes;
   Inode inode;
   inode.type = load_le(p, 8);
   inode.size = load_le(p + 8, 8);
@@ -302,7 +327,7 @@ MiniFs::Inode MiniFs::read_inode(std::uint64_t ino) {
 
 void MiniFs::write_inode(std::uint64_t ino, const Inode& inode) {
   TINCA_EXPECT(ino < geo_.inode_count, "inode number out of range");
-  std::vector<std::byte> blk(kBlockSize);
+  BlockBuf blk;
   read_blk(geo_.itable_start + ino / kInodesPerBlock, blk);
   std::byte* p = blk.data() + (ino % kInodesPerBlock) * kInodeBytes;
   store_le(p, inode.type, 8);
@@ -334,16 +359,18 @@ std::uint64_t MiniFs::file_block(Inode& inode, std::uint64_t index,
     inode.indirect = alloc_block();
     if (inode_dirty) *inode_dirty = true;
   }
-  std::vector<std::byte> iblk(kBlockSize);
-  read_blk(inode.indirect, iblk);
+  BlockBuf buf;
+  const std::span<const std::byte> iblk = view_blk(inode.indirect, buf);
   std::uint64_t ptr = load_le(iblk.data() + ii * 8, 8);
   if (ptr == 0) {
     if (!allocate) return 0;
     ptr = alloc_block();
-    // alloc_block may stage new content for other blocks; reread not needed
-    // since iblk is our private copy and only slot ii changes here.
-    store_le(iblk.data() + ii * 8, ptr, 8);
-    write_blk(inode.indirect, iblk);
+    // alloc_block stages only the bitmap and the new block, so iblk still
+    // holds the indirect block's image; only slot ii changes here.
+    BlockBuf updated;
+    std::copy(iblk.begin(), iblk.end(), updated.begin());
+    store_le(updated.data() + ii * 8, ptr, 8);
+    write_blk(inode.indirect, updated);
   }
   return ptr;
 }
@@ -355,8 +382,9 @@ void MiniFs::free_file_blocks(Inode& inode) {
       inode.direct[d] = 0;
     }
   if (inode.indirect) {
-    std::vector<std::byte> iblk(kBlockSize);
-    read_blk(inode.indirect, iblk);
+    // free_block stages only bitmap blocks, so the view stays valid.
+    BlockBuf buf;
+    const std::span<const std::byte> iblk = view_blk(inode.indirect, buf);
     for (std::uint64_t i = 0; i < kPtrsPerIndirect; ++i) {
       const std::uint64_t ptr = load_le(iblk.data() + i * 8, 8);
       if (ptr) free_block(ptr);
@@ -375,11 +403,11 @@ std::uint64_t MiniFs::dir_lookup(std::uint64_t dir_ino, std::string_view name) {
   Inode dir = read_inode(dir_ino);
   TINCA_EXPECT(dir.type == 2, "lookup in a non-directory");
   const std::uint64_t nblocks = (dir.size + kBlockSize - 1) / kBlockSize;
-  std::vector<std::byte> blk(kBlockSize);
+  BlockBuf buf;
   for (std::uint64_t b = 0; b < nblocks; ++b) {
     const std::uint64_t blkno = file_block(dir, b, false, nullptr);
     if (blkno == 0) continue;
-    read_blk(blkno, blk);
+    const std::span<const std::byte> blk = view_blk(blkno, buf);
     for (std::uint64_t e = 0; e < kEntriesPerBlock; ++e) {
       const std::byte* p = blk.data() + e * kDirEntryBytes;
       if (static_cast<std::uint8_t>(p[8]) == 0) continue;  // unused
@@ -397,7 +425,7 @@ void MiniFs::dir_add(std::uint64_t dir_ino, std::string_view name,
   Inode dir = read_inode(dir_ino);
   TINCA_EXPECT(dir.type == 2, "dir_add in a non-directory");
   const std::uint64_t nblocks = (dir.size + kBlockSize - 1) / kBlockSize;
-  std::vector<std::byte> blk(kBlockSize);
+  BlockBuf blk;
   bool inode_dirty = false;
 
   auto write_entry = [&](std::byte* p) {
@@ -432,7 +460,7 @@ void MiniFs::dir_add(std::uint64_t dir_ino, std::string_view name,
 void MiniFs::dir_remove(std::uint64_t dir_ino, std::string_view name) {
   Inode dir = read_inode(dir_ino);
   const std::uint64_t nblocks = (dir.size + kBlockSize - 1) / kBlockSize;
-  std::vector<std::byte> blk(kBlockSize);
+  BlockBuf blk;
   for (std::uint64_t b = 0; b < nblocks; ++b) {
     const std::uint64_t blkno = file_block(dir, b, false, nullptr);
     if (blkno == 0) continue;
@@ -542,11 +570,11 @@ std::vector<std::string> MiniFs::list(std::string_view path) {
   TINCA_EXPECT(dir.type == 2, "list: not a directory");
   std::vector<std::string> names;
   const std::uint64_t nblocks = (dir.size + kBlockSize - 1) / kBlockSize;
-  std::vector<std::byte> blk(kBlockSize);
+  BlockBuf buf;
   for (std::uint64_t b = 0; b < nblocks; ++b) {
     const std::uint64_t blkno = file_block(dir, b, false, nullptr);
     if (blkno == 0) continue;
-    read_blk(blkno, blk);
+    const std::span<const std::byte> blk = view_blk(blkno, buf);
     for (std::uint64_t e = 0; e < kEntriesPerBlock; ++e) {
       const std::byte* p = blk.data() + e * kDirEntryBytes;
       if (static_cast<std::uint8_t>(p[8]) == 0) continue;
@@ -569,7 +597,7 @@ void MiniFs::write(std::string_view path, std::uint64_t offset,
   TINCA_EXPECT(node.type == 1, "write: not a regular file");
   TINCA_EXPECT(offset + data.size() <= max_file_bytes(), "file too large");
 
-  std::vector<std::byte> blk(kBlockSize);
+  BlockBuf blk;
   std::size_t done = 0;
   bool inode_dirty = false;
   while (done < data.size()) {
@@ -611,7 +639,7 @@ std::size_t MiniFs::read(std::string_view path, std::uint64_t offset,
   const std::size_t want =
       std::min<std::size_t>(dst.size(), node.size - offset);
 
-  std::vector<std::byte> blk(kBlockSize);
+  BlockBuf buf;
   std::size_t done = 0;
   while (done < want) {
     const std::uint64_t pos = offset + done;
@@ -622,8 +650,8 @@ std::size_t MiniFs::read(std::string_view path, std::uint64_t offset,
     if (blkno == 0) {
       std::memset(dst.data() + done, 0, chunk);  // hole
     } else {
-      read_blk(blkno, blk);
-      std::memcpy(dst.data() + done, blk.data() + boff, chunk);
+      std::memcpy(dst.data() + done, view_blk(blkno, buf).data() + boff,
+                  chunk);
     }
     done += chunk;
   }
@@ -651,7 +679,7 @@ void MiniFs::truncate(std::string_view path, std::uint64_t size) {
           node.direct[idx] = 0;
         }
       } else if (node.indirect) {
-        std::vector<std::byte> iblk(kBlockSize);
+        BlockBuf iblk;
         read_blk(node.indirect, iblk);
         const std::uint64_t ii = idx - kDirectPtrs;
         const std::uint64_t ptr = load_le(iblk.data() + ii * 8, 8);
@@ -670,7 +698,7 @@ void MiniFs::truncate(std::string_view path, std::uint64_t size) {
       const std::uint64_t last = size / kBlockSize;
       const std::uint64_t blkno = file_block(node, last, false, nullptr);
       if (blkno != 0) {
-        std::vector<std::byte> blk(kBlockSize);
+        BlockBuf blk;
         read_blk(blkno, blk);
         std::fill(blk.begin() + static_cast<std::ptrdiff_t>(size % kBlockSize),
                   blk.end(), std::byte{0});
@@ -765,8 +793,8 @@ FsckReport MiniFs::fsck() {
       mark_block(node.indirect, what);
       // An indirect block with every slot empty and size within the direct
       // area is also past-EOF garbage; flag it via its populated slots.
-      std::vector<std::byte> iblk(kBlockSize);
-      read_blk(node.indirect, iblk);
+      BlockBuf buf;
+      const std::span<const std::byte> iblk = view_blk(node.indirect, buf);
       for (std::uint64_t i = 0; i < kPtrsPerIndirect; ++i) {
         const std::uint64_t ptr = load_le(iblk.data() + i * 8, 8);
         if (ptr == 0) continue;
@@ -783,7 +811,7 @@ FsckReport MiniFs::fsck() {
   // Walk the tree from the root.
   std::vector<std::uint64_t> dirs{kRootIno};
   reached_inodes[kRootIno] = 1;
-  std::vector<std::byte> blk(kBlockSize);
+  BlockBuf buf;
   while (!dirs.empty()) {
     const std::uint64_t dino = dirs.back();
     dirs.pop_back();
@@ -804,8 +832,8 @@ FsckReport MiniFs::fsck() {
       if (dir.direct[d]) mark_block(dir.direct[d], "dir direct");
     if (dir.indirect) {
       mark_block(dir.indirect, "dir indirect");
-      std::vector<std::byte> iblk(kBlockSize);
-      read_blk(dir.indirect, iblk);
+      BlockBuf ibuf;
+      const std::span<const std::byte> iblk = view_blk(dir.indirect, ibuf);
       for (std::uint64_t i = 0; i < kPtrsPerIndirect; ++i) {
         const std::uint64_t ptr = load_le(iblk.data() + i * 8, 8);
         if (ptr) mark_block(ptr, "dir indirect leaf");
@@ -817,7 +845,7 @@ FsckReport MiniFs::fsck() {
     for (std::uint64_t b = 0; b < nblocks; ++b) {
       const std::uint64_t blkno = file_block(dir, b, false, nullptr);
       if (blkno == 0) continue;
-      read_blk(blkno, blk);
+      const std::span<const std::byte> blk = view_blk(blkno, buf);
       for (std::uint64_t e = 0; e < kEntriesPerBlock; ++e) {
         const std::byte* p = blk.data() + e * kDirEntryBytes;
         if (static_cast<std::uint8_t>(p[8]) == 0) continue;

@@ -18,6 +18,7 @@
 // contract the paper targets (§2.3).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -208,9 +209,18 @@ class MiniFs {
   static constexpr std::uint64_t kNameMax = 54;
   static constexpr std::uint64_t kRootIno = 0;
 
-  // Block I/O through the page cache.
+  // Block I/O through the page cache.  Scratch blocks are BlockBufs, which
+  // are not zero-filled: every use fills one whole before reading it.
+  using BlockBuf = std::array<std::byte, blockdev::kBlockSize>;
   void read_blk(std::uint64_t blkno, std::span<std::byte> dst);
+  /// The bytes of `blkno` as the running transaction sees them: its staged
+  /// image, without a copy, or else the backend's, read into `buf`.  Valid
+  /// until `blkno` is next written.
+  std::span<const std::byte> view_blk(std::uint64_t blkno, BlockBuf& buf);
   void write_blk(std::uint64_t blkno, std::span<const std::byte> data);
+  /// The staged image of `blkno`, appended to the transaction empty when
+  /// the block is not staged yet; the caller fills it.
+  std::vector<std::byte>& staged_image(std::uint64_t blkno);
   void commit_txn();
   void op_done(std::uint64_t worst_case_blocks);
 

@@ -284,13 +284,11 @@ NvLogTier::IndexLoc NvLogTier::append_record(bool is_commit,
   // max_lsn is NOT raised here: only the commit success path counts a
   // record, so a failed absorb's orphan records never pin their segment.
   seg.records.push_back(RecordMeta{off, lsn, blkno, is_commit});
-  return IndexLoc{*active_, off, lsn};
+  return IndexLoc{*active_, off, lsn, {}};
 }
 
-void NvLogTier::absorb_commit(
-    const std::vector<std::pair<std::uint64_t, std::span<const std::byte>>>&
-        blocks,
-    DrainSink& sink) {
+void NvLogTier::absorb_commit(std::vector<blockdev::WriteSet::Write>&& blocks,
+                              DrainSink& sink) {
   TINCA_EXPECT(!blocks.empty(), "commit of an empty transaction");
   TINCA_EXPECT(blocks.size() <= max_txn_blocks(),
                "transaction exceeds the log's guaranteed capacity");
@@ -301,15 +299,14 @@ void NvLogTier::absorb_commit(
 
   flush_ranges_.clear();
   const std::uint64_t txn_first_lsn = next_lsn_;
-  std::vector<std::pair<std::uint64_t, IndexLoc>> appended;
+  std::vector<IndexLoc> appended;  // parallel to `blocks`
   appended.reserve(blocks.size());
   std::uint64_t commit_lsn = 0;
   IndexLoc commit_loc{};
   try {
     for (const auto& [blkno, data] : blocks) {
       ensure_room(kBlockRecordBytes, sink);
-      appended.emplace_back(blkno,
-                            append_record(false, txn_first_lsn, blkno, data));
+      appended.push_back(append_record(false, txn_first_lsn, blkno, data));
     }
     ensure_room(kRecHeaderBytes, sink);
     commit_loc = append_record(true, txn_first_lsn, 0, {});
@@ -345,9 +342,12 @@ void NvLogTier::absorb_commit(
 
   nvm_.injector.point();  // CP: commit durable, DRAM index not yet updated
 
-  for (const auto& [blkno, loc] : appended) {
-    index_[blkno] = loc;
+  // Each record's index entry takes the absorbed buffer over as its image.
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    IndexLoc& loc = appended[i];
     if (loc.lsn > segs_[loc.seg].max_lsn) segs_[loc.seg].max_lsn = loc.lsn;
+    loc.image = std::move(blocks[i].second);
+    index_.insert_or_assign(blocks[i].first, std::move(loc));
   }
   if (commit_lsn > segs_[commit_loc.seg].max_lsn)
     segs_[commit_loc.seg].max_lsn = commit_lsn;
@@ -357,31 +357,23 @@ void NvLogTier::absorb_commit(
   stats_.absorbed_bytes += appended.size() * kPayloadBytes;
 }
 
-void NvLogTier::absorb_commit_group(
-    const std::vector<
-        std::vector<std::pair<std::uint64_t, std::span<const std::byte>>>>&
-        txns,
-    DrainSink& sink) {
+void NvLogTier::absorb_commit_group(std::span<blockdev::WriteSet> txns,
+                                    DrainSink& sink) {
   TINCA_EXPECT(!txns.empty(), "group absorb of an empty batch");
   // Last-writer-wins merge in member order: first appearance fixes the
-  // append position, later members overwrite the image in place.  The
+  // append position, a later member's buffer replaces the image.  The
   // merged union then rides the ordinary one-flush-one-fence absorb path —
   // one commit record seals the whole batch, so recovery replays all
   // members or none.
-  std::vector<std::pair<std::uint64_t, std::span<const std::byte>>> merged;
-  std::unordered_map<std::uint64_t, std::size_t> at;
-  for (const auto& blocks : txns) {
-    for (const auto& [blkno, data] : blocks) {
-      const auto [it, inserted] = at.try_emplace(blkno, merged.size());
-      if (inserted) {
-        merged.emplace_back(blkno, data);
-      } else {
-        merged[it->second].second = data;
-        ++stats_.group_merged_records;
-      }
-    }
+  blockdev::WriteSet merged;
+  std::size_t writes = 0;
+  for (blockdev::WriteSet& member : txns) {
+    writes += member.block_count();
+    for (auto& [blkno, data] : member.take())
+      merged.add(blkno, std::move(data));
   }
-  if (!merged.empty()) absorb_commit(merged, sink);
+  stats_.group_merged_records += writes - merged.block_count();
+  if (!merged.empty()) absorb_commit(merged.take(), sink);
   ++stats_.group_absorbs;
   stats_.group_absorbed_txns += txns.size();
 }
@@ -390,10 +382,22 @@ bool NvLogTier::lookup(std::uint64_t blkno, std::span<std::byte> dst) {
   TINCA_EXPECT(dst.size() == kPayloadBytes, "blocks are 4 KB");
   const auto it = index_.find(blkno);
   if (it == index_.end()) return false;
-  nvm_.load(segment_base(it->second.seg) + it->second.off + kRecHeaderBytes,
-            dst);
+  check_image(it->second);
+  std::copy(it->second.image.begin(), it->second.image.end(), dst.begin());
   ++stats_.log_hits;
   return true;
+}
+
+void NvLogTier::check_image(const IndexLoc& loc) const {
+#ifndef NDEBUG
+  std::vector<std::byte> payload(kPayloadBytes);
+  nvm_.load_nocharge(segment_base(loc.seg) + loc.off + kRecHeaderBytes,
+                     payload);
+  TINCA_ENSURE(loc.image == payload,
+               "nvlog DRAM image differs from its record's NVM payload");
+#else
+  (void)loc;
+#endif
 }
 
 void NvLogTier::collect_drainable(std::uint32_t max,
@@ -430,8 +434,12 @@ NvLogTier::DrainResult NvLogTier::drain_segment(std::uint64_t seq,
 
   // Coalesce: a record survives only if the index still points at it —
   // every overwritten version (same segment or older) is skipped, so one
-  // hot block costs one backing-store write per drained epoch.
+  // hot block costs one backing-store write per drained epoch.  The batch
+  // copies each survivor's image; the index keeps it until the batch is
+  // durable, so a failed apply loses nothing and its retry applies the
+  // same bytes.
   DrainSink::DrainBatch batch;
+  std::vector<decltype(index_)::iterator> survivors;
   std::uint64_t superseded = 0;
   for (const RecordMeta& r : seg.records) {
     if (r.is_commit) continue;
@@ -441,10 +449,9 @@ NvLogTier::DrainResult NvLogTier::drain_segment(std::uint64_t seq,
       ++superseded;
       continue;
     }
-    const std::span<const std::byte> payload = nvm_.read_view(
-        segment_base(*found) + r.off + kRecHeaderBytes, kPayloadBytes);
-    batch.emplace_back(r.blkno,
-                       std::vector<std::byte>(payload.begin(), payload.end()));
+    check_image(it->second);
+    batch.emplace_back(r.blkno, it->second.image);
+    survivors.push_back(it);
   }
   // Ascending runs hit the disk's sequential fast path.
   std::sort(batch.begin(), batch.end(),
@@ -480,13 +487,8 @@ NvLogTier::DrainResult NvLogTier::drain_segment(std::uint64_t seq,
 
   nvm_.injector.point();  // CP: batch durable, prefix not yet advanced
 
-  for (const RecordMeta& r : seg.records) {
-    if (r.is_commit) continue;
-    const auto it = index_.find(r.blkno);
-    if (it != index_.end() && it->second.seg == *found &&
-        it->second.off == r.off)
-      index_.erase(it);
-  }
+  // The sink never touches the tier, so the iterators are still valid.
+  for (const auto it : survivors) index_.erase(it);
   seg.state = SegState::kDrained;
   ++stats_.drain_batches;
   stats_.drained_records += drained;
@@ -606,16 +608,18 @@ std::unique_ptr<NvLogTier> NvLogTier::recover(nvm::NvmDevice& nvm,
   // after them, since lsns are never reused across recoveries), and a txn
   // counts only when its commit record closes the exact contiguous lsn run
   // [txn_first, commit) — anything less is a torn in-flight txn.
+  // A replayed record's index entry keeps the payload the scan loaded and
+  // fingerprinted, so the mounted log is not read again.
   struct Pending {
     std::uint32_t seg;
     RecordMeta meta;
+    std::vector<std::byte> image;
   };
-  std::vector<Pending> pending;
+  std::vector<Pending> pending;  // strictly ascending lsns
   std::uint64_t expected_lsn = t->drained_upto_lsn_ + 1;
   std::uint64_t max_lsn_seen = t->drained_upto_lsn_;
   bool stop_all = false;
   std::optional<std::pair<std::uint32_t, std::uint64_t>> resume;  // idx, off
-  std::vector<std::byte> payload(kPayloadBytes);
 
   // Every chain segment gets its identity up front — even segments the
   // scan below never reaches (global stop on a torn txn) must keep the seq
@@ -641,10 +645,12 @@ std::unique_ptr<NvLogTier> NvLogTier::recover(nvm::NvmDevice& nvm,
       if (!v.valid || v.lsn < expected_lsn) break;
       if (v.type == kTypeBlock) {
         if (off + kBlockRecordBytes > cfg.segment_bytes) break;
-        nvm.load(t->segment_base(idx) + off + kRecHeaderBytes, payload);
+        const std::span<const std::byte> payload = nvm.read_view(
+            t->segment_base(idx) + off + kRecHeaderBytes, kPayloadBytes);
         if (fingerprint(payload) != v.payload_fp) break;
         pending.push_back(
-            Pending{idx, RecordMeta{off, v.lsn, v.blkno, false}});
+            Pending{idx, RecordMeta{off, v.lsn, v.blkno, false},
+                    std::vector<std::byte>(payload.begin(), payload.end())});
         expected_lsn = v.lsn + 1;
         max_lsn_seen = v.lsn;
         off += kBlockRecordBytes;
@@ -660,13 +666,13 @@ std::unique_ptr<NvLogTier> NvLogTier::recover(nvm::NvmDevice& nvm,
       max_lsn_seen = v.lsn;
       const std::uint64_t run_first =
           std::max(v.txn_first, t->drained_upto_lsn_ + 1);
-      std::vector<Pending> txn_records;
-      for (const Pending& p : pending) {
-        if (p.meta.lsn >= v.txn_first)
-          txn_records.push_back(p);
-        else
-          ++t->stats_.recovery_discarded;
-      }
+      // Pending lsns ascend, so the stale remnants are a prefix.
+      const auto txn_begin = std::partition_point(
+          pending.begin(), pending.end(),
+          [&](const Pending& p) { return p.meta.lsn < v.txn_first; });
+      t->stats_.recovery_discarded +=
+          static_cast<std::uint64_t>(txn_begin - pending.begin());
+      const std::span<Pending> txn_records(txn_begin, pending.end());
       bool complete = run_first <= v.lsn &&
                       txn_records.size() == v.lsn - run_first;
       for (std::size_t k = 0; complete && k < txn_records.size(); ++k)
@@ -679,9 +685,10 @@ std::unique_ptr<NvLogTier> NvLogTier::recover(nvm::NvmDevice& nvm,
         stop_all = true;
         break;
       }
-      for (const Pending& p : txn_records) {
-        t->index_[p.meta.blkno] =
-            IndexLoc{p.seg, p.meta.off, p.meta.lsn};
+      for (Pending& p : txn_records) {
+        t->index_.insert_or_assign(
+            p.meta.blkno,
+            IndexLoc{p.seg, p.meta.off, p.meta.lsn, std::move(p.image)});
         t->segs_[p.seg].records.push_back(p.meta);
         if (p.meta.lsn > t->segs_[p.seg].max_lsn)
           t->segs_[p.seg].max_lsn = p.meta.lsn;

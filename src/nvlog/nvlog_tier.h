@@ -50,6 +50,14 @@
 // backing store as one durable batch *before* the persisted oldest_live_seq
 // advances past it, so a crash mid-drain merely replays the segment —
 // idempotent, nothing lost, something possibly written twice.
+//
+// Outside recovery the log is write-only.  Each live index entry keeps its
+// record's 4 KB image in DRAM — the absorbed write's own buffer, taken over
+// at commit, or the payload recover() verified — and lookups and drains
+// copy from it.  The images are bounded by the log (one per live record),
+// and only the record stays the durable copy: every store, flush and fence
+// is the same as if drains read the log back, so crash outcomes cannot
+// differ.  Debug builds compare every served image with its record.
 #pragma once
 
 #include <cstdint>
@@ -204,29 +212,28 @@ class NvLogTier {
 
   /// Durably absorb one committed transaction: append a block record per
   /// entry plus one commit record, then one clflush pass + one sfence.
+  /// The 4 KB buffers are taken over as the records' DRAM images.
   /// Runs foreground backpressure drains through `sink` when the log is
   /// full.  On failure (disk error inside a backpressure drain) the
   /// half-appended records are flushed and left behind as orphans — no
   /// commit record ever closes their run, so recovery discards them; the
   /// caller may keep committing into the same log.
-  void absorb_commit(
-      const std::vector<std::pair<std::uint64_t, std::span<const std::byte>>>&
-          blocks,
-      DrainSink& sink);
+  void absorb_commit(std::vector<blockdev::WriteSet::Write>&& blocks,
+                     DrainSink& sink);
 
-  /// Durably absorb a *batch* of committed transactions (DESIGN.md §14):
-  /// the members' writes are merged last-writer-wins in member order, then
+  /// Durably absorb a *batch* of committed transactions (DESIGN.md §14),
+  /// consuming the members: their writes are merged last-writer-wins in
+  /// member order (a block keeps its newest member's buffer), then
   /// appended as ONE record run sealed by ONE commit record — one clflush
   /// pass and one sfence for the whole batch.  A block written by several
   /// members costs a single record.  All-or-nothing per batch: recovery
   /// surfaces either every member transaction or none of them.
-  void absorb_commit_group(
-      const std::vector<std::vector<
-          std::pair<std::uint64_t, std::span<const std::byte>>>>& txns,
-      DrainSink& sink);
+  void absorb_commit_group(std::span<blockdev::WriteSet> txns,
+                           DrainSink& sink);
 
-  /// Read the newest absorbed-but-undrained image of `blkno`; false when
-  /// the log holds none (caller falls through to the backing store).
+  /// Copy the newest absorbed-but-undrained image of `blkno` (from DRAM);
+  /// false when the log holds none (caller falls through to the backing
+  /// store).
   bool lookup(std::uint64_t blkno, std::span<std::byte> dst);
 
   /// Whether the log holds a live image of `blkno` (no read charged).
@@ -240,8 +247,10 @@ class NvLogTier {
                          std::vector<std::uint64_t>& out) const;
 
   /// Drain the segment with this seq: coalesce (skip superseded records),
-  /// sort ascending, apply through `sink`, then advance the persisted
-  /// drained prefix over every leading drained segment.
+  /// copy the survivors' images, sort ascending, apply through `sink`, then
+  /// drop the survivors from the index and advance the persisted drained
+  /// prefix over every leading drained segment.  A throwing apply leaves
+  /// the index, images included, as it was.
   DrainResult drain_segment(std::uint64_t seq, DrainSink& sink);
 
   /// Seal the active segment and drain everything (unmount path).
@@ -308,11 +317,13 @@ class NvLogTier {
     std::vector<RecordMeta> records;
   };
 
-  /// Where the newest live image of a block lives.
+  /// The newest live record of a block, and its image.
   struct IndexLoc {
     std::uint32_t seg;       ///< segment index
     std::uint64_t off;       ///< record header offset within the segment
     std::uint64_t lsn;
+    /// The record's 4 KB payload in DRAM, which lookups and drains copy.
+    std::vector<std::byte> image;
   };
 
   NvLogTier(nvm::NvmDevice& nvm, NvLogConfig cfg);
@@ -346,6 +357,10 @@ class NvLogTier {
   IndexLoc append_record(bool is_commit, std::uint64_t txn_first_lsn,
                          std::uint64_t blkno,
                          std::span<const std::byte> payload);
+
+  /// Debug builds: fail unless `loc.image` equals its record's payload on
+  /// NVM (read without a charge).  No-op under NDEBUG.
+  void check_image(const IndexLoc& loc) const;
 
   /// Segment index holding `seq`, or nullopt.
   [[nodiscard]] std::optional<std::uint32_t> find_seq(std::uint64_t seq) const;

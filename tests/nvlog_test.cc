@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "backend/nvlog_stacked_backend.h"
+#include "blockdev/io_status.h"
 #include "blockdev/mem_block_device.h"
 #include "common/bytes.h"
 #include "common/expect.h"
@@ -53,6 +54,9 @@ class MapSink : public NvLogTier::DrainSink {
   int applies = 0;
 };
 
+/// blkno → seed of the block's newest image.
+using Expected = std::map<std::uint64_t, std::uint64_t>;
+
 NvLogConfig small_cfg() {
   NvLogConfig cfg;
   cfg.segment_bytes = kSegBytes;
@@ -61,14 +65,10 @@ NvLogConfig small_cfg() {
 
 void absorb_one(NvLogTier& tier, NvLogTier::DrainSink& sink,
                 std::vector<std::pair<std::uint64_t, std::uint64_t>> spec) {
-  std::vector<std::vector<std::byte>> payloads;
-  payloads.reserve(spec.size());
-  std::vector<std::pair<std::uint64_t, std::span<const std::byte>>> blocks;
-  for (const auto& [blkno, seed] : spec) {
-    payloads.push_back(block_of(seed));
-    blocks.emplace_back(blkno, payloads.back());
-  }
-  tier.absorb_commit(blocks, sink);
+  std::vector<blockdev::WriteSet::Write> blocks;
+  for (const auto& [blkno, seed] : spec)
+    blocks.emplace_back(blkno, block_of(seed));
+  tier.absorb_commit(std::move(blocks), sink);
 }
 
 TEST(NvLogTier, AbsorbLookupDrainRoundtrip) {
@@ -474,10 +474,215 @@ TEST(NvLogTier, MetricsRegistration) {
 }
 
 // ---------------------------------------------------------------------------
-// Assembled backend: crash-point sweep with re-crash mid-drain.
+// Write-only log: lookups and drains serve the DRAM images, never NVM.
 // ---------------------------------------------------------------------------
 
-using Expected = std::map<std::uint64_t, std::uint64_t>;
+/// The log as NvLogStackedBackend carves it: a view of a larger device,
+/// whose operation counters are the tier's alone.
+struct LogView {
+  sim::SimClock clock;
+  nvm::NvmDevice root{kLogBytes + (1 << 16), nvdimm_profile(), clock};
+  nvm::NvmDevice log{root, 0, kLogBytes, clock};
+};
+
+/// The indexed record's payload of `blkno` on NVM, read without a charge.
+std::vector<std::byte> record_payload(const NvLogTier& tier,
+                                      const nvm::NvmDevice& log,
+                                      std::uint64_t blkno) {
+  const auto range = tier.record_range(blkno);
+  EXPECT_TRUE(range.has_value()) << "block " << blkno << " not in the log";
+  std::vector<std::byte> payload(kBlock);
+  if (range.has_value())
+    log.load_nocharge(range->first + range->second - kBlock, payload);
+  return payload;
+}
+
+/// Every block of `newest` (blkno → newest seed) reads its newest image:
+/// from the log, where lookup() must equal the indexed record's NVM
+/// payload, or else from what the sink was handed.
+void expect_reads_newest(NvLogTier& tier, const nvm::NvmDevice& log,
+                         const MapSink& sink, const Expected& newest) {
+  std::vector<std::byte> buf(kBlock);
+  for (const auto& [blkno, seed] : newest) {
+    if (tier.lookup(blkno, buf)) {
+      EXPECT_EQ(buf, record_payload(tier, log, blkno))
+          << "block " << blkno << ": image differs from its record";
+    } else {
+      const auto it = sink.applied.find(blkno);
+      ASSERT_NE(it, sink.applied.end()) << "block " << blkno << " lost";
+      buf = it->second;
+    }
+    EXPECT_EQ(buf, block_of(seed)) << "block " << blkno << " stale";
+  }
+}
+
+/// One group absorb of `members`, each a {blkno, seed} list.
+void absorb_group(
+    NvLogTier& tier, NvLogTier::DrainSink& sink,
+    const std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>>&
+        members) {
+  std::vector<blockdev::WriteSet> txns(members.size());
+  for (std::size_t m = 0; m < members.size(); ++m)
+    for (const auto& [blkno, seed] : members[m])
+      txns[m].add(blkno, block_of(seed));
+  tier.absorb_commit_group(txns, sink);
+}
+
+/// Absorb `rounds` three-block txns over a 20-block working set, with a
+/// cleaner-style drain of the oldest drainable segment every 10th round, and
+/// check every read after each round.  Returns the next unused seed.
+std::uint64_t churn(NvLogTier& tier, const nvm::NvmDevice& log,
+                    MapSink& sink, Expected& newest, std::uint64_t seed,
+                    int rounds) {
+  for (int round = 0; round < rounds; ++round) {
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> spec;
+    for (std::uint64_t b = 0; b < 3; ++b) {
+      const std::uint64_t blkno = (seed + b * 7) % 20;  // 3 distinct blocks
+      spec.emplace_back(blkno, seed + b);
+      newest[blkno] = seed + b;
+    }
+    seed += 3;
+    absorb_one(tier, sink, spec);
+    if (round % 10 == 9) {
+      std::vector<std::uint64_t> seqs;
+      tier.collect_drainable(1, seqs);
+      for (const std::uint64_t s : seqs) tier.drain_segment(s, sink);
+    }
+    expect_reads_newest(tier, log, sink, newest);
+  }
+  return seed;
+}
+
+TEST(NvLogWriteOnly, LookupsAndDrainsNeverLoadTheLog) {
+  LogView v;
+  MapSink sink;
+  auto tier = NvLogTier::format(v.log, small_cfg());
+  const std::uint64_t loaded = v.log.stats().lines_loaded;  // format's reads
+
+  Expected newest;
+  absorb_one(*tier, sink, {{1, 1}, {2, 2}, {3, 3}});
+  newest.insert({{1, 1}, {2, 2}, {3, 3}});
+  // Block 5 is written by both members: the merged record keeps the
+  // second member's image.
+  absorb_group(*tier, sink, {{{5, 10}, {6, 11}}, {{7, 12}, {5, 13}}});
+  newest.insert({{5, 13}, {6, 11}, {7, 12}});
+  EXPECT_EQ(tier->stats().group_merged_records, 1u);
+  absorb_one(*tier, sink, {{1, 20}, {3, 21}});  // overwrites
+  newest[1] = 20;
+  newest[3] = 21;
+  expect_reads_newest(*tier, v.log, sink, newest);
+
+  // Wrap the log: cleaner drains of single segments and, once it is full,
+  // backpressure drains inside the absorbs.
+  churn(*tier, v.log, sink, newest, 100, 120);
+  EXPECT_GT(tier->stats().backpressure_drains, 0u);
+  EXPECT_GT(tier->stats().drain_batches, tier->stats().backpressure_drains);
+  EXPECT_GT(tier->stats().coalesced_records, 0u);
+  EXPECT_GT(tier->stats().log_hits, 0u);
+
+  tier->drain_all(sink);
+  EXPECT_EQ(tier->live_records(), 0u);
+  expect_reads_newest(*tier, v.log, sink, newest);
+  EXPECT_EQ(v.log.stats().lines_loaded, loaded)
+      << "a lookup or drain read the log";
+}
+
+TEST(NvLogWriteOnly, RecoveredImagesMatchTheLogAndAreNeverReloaded) {
+  LogView v;
+  MapSink sink;
+  Expected newest;
+  std::uint64_t seed = 100;
+  {
+    auto tier = NvLogTier::format(v.log, small_cfg());
+    seed = churn(*tier, v.log, sink, newest, seed, 40);
+    ASSERT_GT(tier->stats().segments_recycled, 0u);
+    // Tear the newest txn's last block record: recovery must drop that
+    // whole txn, so the newest images revert to the txn before it.
+    absorb_one(*tier, sink, {{30, seed}, {31, seed + 1}});
+    const auto range = tier->record_range(31);
+    ASSERT_TRUE(range.has_value());
+    const std::vector<std::byte> garbage(nvm::NvmDevice::kLineSize,
+                                         std::byte{0x5A});
+    v.log.store(range->first, garbage);
+    v.log.persist(range->first, garbage.size());
+    seed += 2;
+  }
+  v.root.crash_discard_all();
+
+  auto rec = NvLogTier::recover(v.log, small_cfg());
+  EXPECT_GT(rec->stats().recovery_replayed, 0u);
+  EXPECT_GT(rec->stats().recovery_discarded, 0u);
+  EXPECT_FALSE(rec->contains(30));
+  EXPECT_FALSE(rec->contains(31));
+  std::uint64_t loaded = v.log.stats().lines_loaded;  // recovery's scan
+  expect_reads_newest(*rec, v.log, sink, newest);
+  seed = churn(*rec, v.log, sink, newest, seed, 30);
+  EXPECT_EQ(v.log.stats().lines_loaded, loaded);
+
+  // Re-crash inside an unmount drain, at every step until one completes:
+  // each recovery's images must match the log, reads must see the newest
+  // images, and nothing after the mount may read the log.
+  Rng rng(11);
+  for (std::uint64_t step = 1;; ++step) {
+    ASSERT_LT(step, 200u) << "the drain never completed";
+    v.root.injector.arm(step);
+    bool crashed = false;
+    try {
+      rec->drain_all(sink);
+    } catch (const nvm::CrashException&) {
+      crashed = true;
+    }
+    v.root.injector.disarm();
+    if (!crashed) break;
+    rec.reset();
+    v.root.crash(rng, 0.5);
+    rec = NvLogTier::recover(v.log, small_cfg());
+    loaded = v.log.stats().lines_loaded;
+    expect_reads_newest(*rec, v.log, sink, newest);
+    EXPECT_EQ(v.log.stats().lines_loaded, loaded);
+  }
+  EXPECT_EQ(rec->live_records(), 0u);
+  expect_reads_newest(*rec, v.log, sink, newest);
+}
+
+TEST(NvLogWriteOnly, FailedDrainKeepsImagesAndTheRetryAppliesTheSameBytes) {
+  /// Records every batch it is handed; throws IoError while `fail` is set.
+  struct FlakySink : MapSink {
+    void drain_apply(DrainBatch& blocks) override {
+      handed.push_back(blocks);
+      if (fail) throw blockdev::IoError("drain apply", blocks.front().first,
+                                        blockdev::IoStatus::kTransient);
+      MapSink::drain_apply(blocks);
+    }
+    bool fail = true;
+    std::vector<DrainBatch> handed;
+  } sink;
+
+  LogView v;
+  auto tier = NvLogTier::format(v.log, small_cfg());
+  Expected newest;
+  absorb_one(*tier, sink, {{1, 1}, {2, 2}, {3, 3}});
+  absorb_one(*tier, sink, {{2, 4}, {4, 5}});
+  newest.insert({{1, 1}, {2, 4}, {3, 3}, {4, 5}});
+  const std::uint64_t live = tier->live_records();
+
+  EXPECT_THROW(tier->drain_all(sink), blockdev::IoError);
+  ASSERT_EQ(sink.handed.size(), 1u);
+  EXPECT_EQ(tier->live_records(), live);
+  EXPECT_EQ(tier->stats().drain_batches, 0u);
+  expect_reads_newest(*tier, v.log, sink, newest);
+
+  sink.fail = false;
+  tier->drain_all(sink);
+  ASSERT_EQ(sink.handed.size(), 2u);
+  EXPECT_EQ(sink.handed[1], sink.handed[0]) << "the retry applied other bytes";
+  EXPECT_EQ(tier->live_records(), 0u);
+  expect_reads_newest(*tier, v.log, sink, newest);
+}
+
+// ---------------------------------------------------------------------------
+// Assembled backend: crash-point sweep with re-crash mid-drain.
+// ---------------------------------------------------------------------------
 
 backend::NvLogStackedConfig sweep_cfg() {
   backend::NvLogStackedConfig cfg;

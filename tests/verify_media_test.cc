@@ -198,9 +198,9 @@ struct NvLogFixture {
   void rotate_once() {
     std::vector<std::byte> b(blockdev::kBlockSize);
     fill_pattern(b, seed++);
-    std::vector<std::pair<std::uint64_t, std::span<const std::byte>>> blocks;
-    blocks.emplace_back(seed, b);
-    tier->absorb_commit(blocks, sink);
+    std::vector<blockdev::WriteSet::Write> blocks;
+    blocks.emplace_back(seed, std::move(b));
+    tier->absorb_commit(std::move(blocks), sink);
     tier->drain_all(sink);
   }
 
